@@ -1,7 +1,8 @@
 """Command-line frontend: generate, build, query, verify, benchmark.
 
-Exit codes: 0 success, 2 input parse failure, 3 genus above the configured
-maximum, 4 crossing minimum cuts during merge.
+Exit codes: 0 success, 2 input failure (a malformed graph, or a bad query
+pair line), 3 genus above the configured maximum, 4 crossing minimum cuts
+during merge.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import time
 from . import gen, weights
 from .cuttree import CutTree, dual_cut_tree, host_checksum, validate_cut_tree
 from .embed import dual, format_graph, parse_graph
-from .errors import CrossingCutsError, GenusLimitError, SurfcutError
+from .errors import (
+    CrossingCutsError,
+    GenusLimitError,
+    QueryInputError,
+    SurfcutError,
+)
 from .merge import merged_collection_tree
 from .oracle import min_face_cut
 from .query import build_index, min_cut_query
@@ -49,7 +55,7 @@ def _emit(args, payload, text_lines):
     _write(getattr(args, "output", "-") or "-", out)
 
 
-def build_tree(g, seed: int, genus_max: int, dedup: bool):
+def build_tree(g, seed: int, genus_max: int):
     """Cut tree over the ordinary faces of ``g``: weight-perturbed pipeline,
     de-perturbed exact weights on the result."""
     pg = weights.perturb_graph(g, seed)
@@ -57,7 +63,7 @@ def build_tree(g, seed: int, genus_max: int, dedup: bool):
     if g.genus == 0:
         tree = dual_cut_tree(pg, checksum=checksum)
     else:
-        coll = planar_collection(pg, genus_max=genus_max, dedup=dedup)
+        coll = planar_collection(pg, genus_max=genus_max)
         trees = member_trees(coll, checksum)
         tree = merged_collection_tree(coll, trees, checksum)
     return tree.with_weights([weights.restore(w) for _, _, w in tree.edges])
@@ -65,7 +71,7 @@ def build_tree(g, seed: int, genus_max: int, dedup: bool):
 
 def cmd_build(args):
     g = parse_graph(_read(args.input))
-    tree = build_tree(g, args.seed, args.genus_max, args.dedup)
+    tree = build_tree(g, args.seed, args.genus_max)
     idx = build_index(tree, lca=args.lca)
     payload = {
         "tree": json.loads(tree.to_json()),
@@ -88,12 +94,24 @@ def cmd_query(args):
     tree = CutTree.from_json(json.dumps(payload["tree"]))
     idx = build_index(tree, lca=args.lca)
     results = []
-    for line in _read(args.pairs).splitlines():
+    for lineno, line in enumerate(_read(args.pairs).splitlines(), 1):
         line = line.split("#")[0].strip()
         if not line:
             continue
-        x, y = (int(tok) for tok in line.split())
-        results.append((x, y, min_cut_query(idx, x, y)))
+        try:
+            x, y = (int(tok) for tok in line.split())
+        except ValueError:
+            raise QueryInputError(f"{args.pairs} line {lineno}: expected "
+                                  f"'<x> <y>', got {line!r}") from None
+        try:
+            results.append((x, y, min_cut_query(idx, x, y)))
+        except KeyError as exc:
+            raise QueryInputError(f"{args.pairs} line {lineno}: face "
+                                  f"{exc.args[0]} is not in the cut tree"
+                                  ) from None
+        except ValueError as exc:
+            raise QueryInputError(
+                f"{args.pairs} line {lineno}: {exc}") from None
     _emit(args, [list(r) for r in results],
           [f"{x} {y} {w}" for x, y, w in results])
     return 0
@@ -106,7 +124,7 @@ def cmd_verify(args):
     def check(name, ok):
         report.append((name, bool(ok)))
 
-    tree = build_tree(g, args.seed, args.genus_max, args.dedup)
+    tree = build_tree(g, args.seed, args.genus_max)
     faces = sorted(g.ordinary_faces())
     check("tree-spans-ordinary-faces", sorted(tree.nodes) == faces)
     d = dual(g)
@@ -118,7 +136,7 @@ def cmd_verify(args):
         ok = all(tree.path_min(a, b) == min_face_cut(g, a, b)[0]
                  for i, a in enumerate(faces) for b in faces[i + 1:])
         check("pairs-match-dual-max-flow", ok)
-    again = build_tree(g, args.seed, args.genus_max, args.dedup)
+    again = build_tree(g, args.seed, args.genus_max)
     check("deterministic-rebuild", again == tree)
     lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report]
     _emit(args, {name: ok for name, ok in report}, lines)
@@ -190,8 +208,6 @@ def make_parser():
         description="all-pairs minimum cuts on surface-embedded graphs")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--genus-max", type=int, default=2)
-    parser.add_argument("--dedup", action="store_true",
-                        help="drop duplicate collection members")
     parser.add_argument("--lca", choices=("sparse", "block"),
                         default="sparse")
     parser.add_argument("--format", choices=("text", "json"), default="text")

@@ -112,6 +112,26 @@ class CutTree:
                     stack.append(y)
         return frozenset(side)
 
+    def bipartitions(self):
+        """``bipartition(i)`` for every edge, in edge order, from one rooted
+        pass that collects the node set under every node."""
+        adj = self.adjacency()
+        root = self.nodes[0]
+        up = {root: None}           # node -> index of the edge to its parent
+        order = [root]
+        for x in order:
+            for y, _, i in adj[x]:
+                if y not in up:
+                    up[y] = i
+                    order.append(y)
+        under = {}
+        for x in reversed(order):
+            under[x] = frozenset((x,)).union(
+                *(under[y] for y, _, i in adj[x] if up[y] == i))
+        everything = frozenset(self.nodes)
+        return [under[u] if up[u] == i else everything - under[v]
+                for i, (u, v, _) in enumerate(self.edges)]
+
     def with_weights(self, weights):
         edges = tuple((u, v, w) for (u, v, _), w in zip(self.edges, weights))
         return CutTree(self.nodes, edges, self.host_checksum)

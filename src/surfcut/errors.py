@@ -9,6 +9,10 @@ class GraphFormatError(SurfcutError):
     """Malformed graph file or inconsistent rotation system."""
 
 
+class QueryInputError(SurfcutError):
+    """Malformed query pair line, or a face the cut tree does not hold."""
+
+
 class DisconnectedGraphError(SurfcutError):
     """Operation requires a connected graph."""
 

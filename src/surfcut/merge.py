@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cuttree import CutTree
 from .errors import CrossingCutsError, DisconnectedGraphError
@@ -40,29 +41,36 @@ class LeafTree:
     root: object
     parent: dict        # node -> (parent, weight); root -> None
 
-    def children_map(self):
-        ch = {}
+    @cached_property
+    def _shape(self):
+        """Children of every node and the leaf set under every node, from one
+        post-order pass; computed on first use and kept with the tree."""
+        children = {}
         for node, p in self.parent.items():
             if p is not None:
-                ch.setdefault(p[0], []).append(node)
-        return ch
+                children.setdefault(p[0], []).append(node)
+        order = [self.root]
+        for x in order:
+            order.extend(children.get(x, ()))
+        under = {}
+        for x in reversed(order):
+            kids = children.get(x)
+            under[x] = (frozenset().union(*(under[c] for c in kids))
+                        if kids else frozenset((x,)))
+        return children, under
 
     def leaves(self):
-        ch = self.children_map()
-        return frozenset(n for n in self.parent if n not in ch)
+        return self._shape[1][self.root]
 
     def leaves_under(self, node):
-        ch = self.children_map()
-        out = set()
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            kids = ch.get(x)
-            if kids:
-                stack.extend(kids)
-            else:
-                out.add(x)
-        return frozenset(out)
+        return self._shape[1][node]
+
+    def cuts(self):
+        """The tree's cuts as a frozenset of (leaf side, weight): equal for
+        trees that hold the same cuts."""
+        under = self._shape[1]
+        return frozenset((under[node], p[1]) for node, p in self.parent.items()
+                         if p is not None and p[1] is not None)
 
     def _root_path(self, v):
         path = [v]
@@ -97,14 +105,11 @@ class LeafTree:
         leaf ``down_label``) and the remainder (plus a new leaf ``up_label``),
         in that order."""
         below = {}
-        ch = self.children_map()
-        stack = [node]
-        keep = {node}
-        while stack:
-            x = stack.pop()
-            for y in ch.get(x, ()):
-                keep.add(y)
-                stack.append(y)
+        ch = self._shape[0]
+        keep = [node]
+        for x in keep:
+            keep.extend(ch.get(x, ()))
+        keep = set(keep)
         for x in keep:
             if x != node:
                 below[x] = self.parent[x]
@@ -131,11 +136,12 @@ class LeafTree:
         rest = leaves - keep
         full = keep | {other_label}
         r0 = min(full, key=_nkey)
+        under = self._shape[1]
         cuts = {}
         for node, p in self.parent.items():
             if p is None or p[1] is None:
                 continue
-            side = self.leaves_under(node)
+            side = under[node]
             comp = leaves - side
             if side & keep and side & rest and comp & keep and comp & rest:
                 continue
@@ -149,17 +155,6 @@ class LeafTree:
             if s not in cuts or p[1] < cuts[s]:
                 cuts[s] = p[1]
         return leaf_tree_from_cuts(full, cuts)
-
-
-def restrict_A(tree: LeafTree, a_set) -> LeafTree:
-    """Region tree of the cuts nested inside ``a_set``; the complement is
-    contracted to one leaf named ``"beta"``."""
-    return tree.restrict(a_set, "beta")
-
-
-def restrict_B(tree: LeafTree, b_set) -> LeafTree:
-    """Mirror of restrict_A; complement leaf named ``"alpha"``."""
-    return tree.restrict(b_set, "alpha")
 
 
 def from_cut_tree(t: CutTree) -> LeafTree:
@@ -184,26 +179,20 @@ def from_cut_tree(t: CutTree) -> LeafTree:
 
 def leaf_tree_from_cuts(nodes, cuts) -> LeafTree:
     """Region tree of a laminar family ``{side: weight}`` over ``nodes``;
-    no side may contain ``min(nodes)``."""
-    nodes = sorted(nodes, key=_nkey)
-    sets = sorted(cuts, key=lambda s: (len(s), sorted(map(_nkey, s))))
+    no side may contain ``min(nodes)``.
+
+    Sides are inserted largest first, so the smallest side already holding
+    any element of a new side is that side's parent."""
     root = _fresh()
     parent = {root: None}
-    node_of = {s: _fresh() for s in sets}
-    for i, s in enumerate(sets):
-        up = root
-        for s2 in sets[i + 1:]:     # size order: first superset is smallest
-            if s < s2:
-                up = node_of[s2]
-                break
-        parent[node_of[s]] = (up, cuts[s])
-    for v in nodes:
-        host = root
-        for s in sets:
-            if v in s:
-                host = node_of[s]
-                break
-        parent[v] = (host, None)
+    host = {}           # node -> region of the smallest side so far holding it
+    for side in sorted(cuts, key=len, reverse=True):
+        region = _fresh()
+        parent[region] = (host.get(next(iter(side)), root), cuts[side])
+        for v in side:
+            host[v] = region
+    for v in sorted(nodes, key=_nkey):
+        parent[v] = (host.get(v, root), None)
     return LeafTree(root, parent)
 
 
@@ -218,9 +207,8 @@ def project_member_tree(t: CutTree, face_map) -> LeafTree:
     full = frozenset(nodes)
     r0 = nodes[0]
     cuts = {}
-    for i in range(len(t.edges)):
-        w = t.edges[i][2]
-        side = frozenset(face_map[f] for f in t.bipartition(i) if f in face_map)
+    for (_, _, w), part in zip(t.edges, t.bipartitions()):
+        side = frozenset(face_map[f] for f in part if f in face_map)
         if not side or side == full:
             continue
         if r0 in side:
@@ -242,36 +230,42 @@ def _all_pairs_query(trees, nodes):
     return table
 
 
-def _cross(p, q, universe):
-    return bool(p & q) and bool(p - q) and bool(q - p) and \
-        bool(universe - (p | q))
-
-
 def detect_crossing_minimum_cuts(leaf_trees, nodes):
     """Raise CrossingCutsError if two inputs hold crossing minimum cuts.
 
     A cut of an input is minimum when its weight equals the best answer over
-    all inputs for some pair it separates.
+    all inputs for some pair it separates.  The minimum cuts, each side
+    normalized to exclude ``min(nodes)``, must form a laminar family: they are
+    inserted largest first, and every element of a new side must lie in the
+    same smallest earlier side (or in none).
     """
     universe = frozenset(nodes)
+    r0 = min(universe)
     table = _all_pairs_query(leaf_trees, nodes)
     candidates = []
     for i, t in enumerate(leaf_trees):
-        ch = t.children_map()
-        for node in ch:
-            p = t.parent[node]
+        under = t._shape[1]
+        for node, p in t.parent.items():
             if p is None or p[1] is None:
                 continue
-            side = t.leaves_under(node) & universe
+            side = under[node] & universe
             rest = universe - side
             w = p[1]
             if any(table[(x, y) if x < y else (y, x)] == w
                    for x in side for y in rest):
-                candidates.append((i, side))
-    for (i, p), (j, q) in itertools.combinations(candidates, 2):
-        if i != j and _cross(p, q, universe):
+                candidates.append((i, rest if r0 in side else side))
+    candidates.sort(key=lambda c: len(c[1]), reverse=True)
+    owner = {}          # element -> index of the smallest side so far holding it
+    for k, (i, side) in enumerate(candidates):
+        held = {owner.get(x) for x in side}
+        if len(held) > 1:
+            # some holder meets the side without nesting with it
+            j = next(candidates[h][0] for h in held - {None}
+                     if side - candidates[h][1] and candidates[h][1] - side)
             raise CrossingCutsError(
                 f"minimum cuts of input trees {i} and {j} cross")
+        for x in side:
+            owner[x] = k
 
 
 def merge_leaf_trees(leaf_trees, nodes, checksum: str = "") -> CutTree:
@@ -331,6 +325,19 @@ def merge_leaf_trees(leaf_trees, nodes, checksum: str = "") -> CutTree:
     return CutTree(tuple(nodes), out, checksum)
 
 
+def distinct_trees(leaf_trees):
+    """The first tree of each set of trees holding the same cuts, in input
+    order.  Such trees give the same crossing verdict and the same merge."""
+    seen = set()
+    out = []
+    for t in leaf_trees:
+        key = t.cuts()
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    return out
+
+
 def merge_cut_trees(trees, checksum: str = "") -> CutTree:
     """Merge cut trees sharing a node set; queries on the result equal the
     minimum over the inputs' queries.  Raises CrossingCutsError when two
@@ -341,17 +348,16 @@ def merge_cut_trees(trees, checksum: str = "") -> CutTree:
     for t in trees[1:]:
         if sorted(t.nodes) != nodes:
             raise ValueError("input trees disagree on the node set")
-    lts = [from_cut_tree(t) for t in trees]
+    lts = distinct_trees(from_cut_tree(t) for t in trees)
     detect_crossing_minimum_cuts(lts, nodes)
     return merge_leaf_trees(lts, nodes, checksum)
 
 
 def merged_collection_tree(collection, trees, checksum: str = "") -> CutTree:
-    """Project each member's cut tree onto the original faces and merge."""
-    lts = []
-    nodes = None
-    for m, t in zip(collection.members, trees):
-        lts.append(project_member_tree(t, m.face_map))
-        nodes = sorted(set(m.face_map.values()))
+    """Project each member's cut tree onto the original faces and merge the
+    distinct projections."""
+    lts = distinct_trees(project_member_tree(t, m.face_map)
+                         for m, t in zip(collection.members, trees))
+    nodes = sorted(lts[0].leaves())
     detect_crossing_minimum_cuts(lts, nodes)
     return merge_leaf_trees(lts, nodes, checksum)

@@ -17,7 +17,6 @@ from .embed import (
     OpenCurve,
     boundary_of_faces,
     cut_along_curves,
-    format_graph,
 )
 from .errors import (
     CurveShapeError,
@@ -130,8 +129,7 @@ def cycle_path_pairs(g: EmbeddedGraph):
     return pairs
 
 
-def planar_collection(g: EmbeddedGraph, genus_max: int = 2,
-                      dedup: bool = False) -> Collection:
+def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
     """Recursively cut ``g`` down to a collection of annotated planar members.
 
     Every member keeps composed face and edge maps back to ``g``.  Raises
@@ -206,23 +204,7 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2,
 
     identity = tuple(range(g.edge_count))
     recurse(g, identity, {f: f for f in ordinary}, [], [], [])
-    if dedup:
-        members = _dedup(members)
     return Collection(tuple(members), attempted[0], tuple(skipped))
-
-
-def _dedup(members):
-    seen = set()
-    out = []
-    for m in members:
-        key = (format_graph(m.graph),
-               tuple(sorted(m.graph.boundary_faces)),
-               tuple(sorted(m.face_map.items())),
-               tuple(sorted(tuple(sorted(c)) for c in m.annotation)))
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    return out
 
 
 def member_trees(collection: Collection, checksum: str = ""):

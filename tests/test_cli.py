@@ -35,6 +35,23 @@ class TestExitCodes:
         assert run(["--genus-max", "0", "build", str(torus_file)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs, message", [
+        ("0 1\n0 99\n", "line 2: face 99 is not in the cut tree"),
+        ("0 1\n\n0 x\n", "line 3: expected '<x> <y>', got '0 x'"),
+        ("0 1 2\n", "line 1: expected '<x> <y>'"),
+        ("3 3\n", "line 1: query endpoints must differ"),
+    ])
+    def test_bad_query_input(self, torus_file, tmp_path, capsys, pairs,
+                             message):
+        tree_path = tmp_path / "tree.json"
+        assert run(["build", str(torus_file), "-o", str(tree_path)]) == 0
+        pairs_path = tmp_path / "pairs.txt"
+        pairs_path.write_text(pairs)
+        assert run(["query", str(tree_path), str(pairs_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_crossing_cuts(self, torus_file, monkeypatch, capsys):
         def boom(*a, **k):
             raise CrossingCutsError("minimum cuts cross")

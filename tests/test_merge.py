@@ -13,8 +13,6 @@ from surfcut.merge import (
     merge_cut_trees,
     merged_collection_tree,
     project_member_tree,
-    restrict_A,
-    restrict_B,
 )
 from surfcut.oracle import min_face_cut
 from surfcut.reduction import member_trees, planar_collection
@@ -49,22 +47,22 @@ class TestRestrict:
         self.lt = from_cut_tree(self.t)
 
     def test_subtree_side(self):
-        ra = restrict_A(self.lt, {3, 4})
+        ra = self.lt.restrict({3, 4}, "beta")
         assert ra.leaves() == frozenset({3, 4, "beta"})
         cuts = tree_cuts(ra)
         assert list(cuts.values()) == [6]   # only the 3-vs-4 cut survives
         assert ra.min_cut(3, 4)[0] == 6
 
     def test_single_leaf_is_star(self):
-        ra = restrict_A(self.lt, {2})
+        ra = self.lt.restrict({2}, "beta")
         assert ra.leaves() == frozenset({2, "beta"})
         assert tree_cuts(ra) == {}
 
     def test_trivial_side_rejected(self):
         with pytest.raises(ValueError):
-            restrict_A(self.lt, set())
+            self.lt.restrict(set(), "beta")
         with pytest.raises(ValueError):
-            restrict_B(self.lt, {0, 1, 2, 3, 4})
+            self.lt.restrict({0, 1, 2, 3, 4}, "alpha")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_keeps_exactly_noncrossing_cuts(self, seed):

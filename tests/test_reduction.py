@@ -78,13 +78,6 @@ class TestPlanarCollection:
         with pytest.raises(GenusLimitError):
             planar_collection(gen.double_torus_one_vertex(), genus_max=1)
 
-    def test_dedup_not_larger(self):
-        g = gen.torus_grid(3)
-        a = planar_collection(g)
-        b = planar_collection(g, dedup=True)
-        assert len(b) <= len(a)
-        assert b.attempted == a.attempted
-
 
 class TestCollectionMinCut:
     def test_same_face_rejected(self):
@@ -122,7 +115,7 @@ class TestCollectionMinCut:
         f = sorted(g1.ordinary_faces())
         g = gen.add_edge_between_faces(g1, f[0], f[1])
         assert g.genus == 2
-        coll = planar_collection(weights.perturb_graph(g, seed=5), dedup=True)
+        coll = planar_collection(weights.perturb_graph(g, seed=5))
         trees = member_trees(coll)
         assert coll.attempted == expected_size(2)
         faces = sorted(g.ordinary_faces())
