@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 input failure (a malformed graph, or a bad query
 pair line), 3 genus above the configured maximum, 4 crossing minimum cuts
-during merge.
+during merge, 5 too many edges for the weight perturbation.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .embed import dual, format_graph, parse_graph
 from .errors import (
     CrossingCutsError,
     GenusLimitError,
+    InstanceTooLargeError,
     QueryInputError,
     SurfcutError,
 )
@@ -30,6 +31,7 @@ from .reduction import member_trees, planar_collection
 EXIT_PARSE = 2
 EXIT_GENUS = 3
 EXIT_CROSSING = 4
+EXIT_TOO_LARGE = 5
 
 
 def _read(path):
@@ -253,6 +255,9 @@ def main(argv=None):
     except CrossingCutsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSING
+    except InstanceTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except (SurfcutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -60,18 +60,16 @@ class CutTree:
     def path_min(self, x, y):
         """Minimum edge weight on the x-to-y tree path (linear scan)."""
         adj = self.adjacency()
-        stack = [(x, None, None)]
+        stack = [(x, None)]
         seen = {x}
-        best = {x: None}
         while stack:
-            u, _, m = stack.pop()
+            u, m = stack.pop()
             if u == y:
                 return m
             for v, w, _ in adj[u]:
                 if v not in seen:
                     seen.add(v)
-                    nm = w if m is None else min(m, w)
-                    stack.append((v, None, nm))
+                    stack.append((v, w if m is None else min(m, w)))
         raise KeyError(f"{y} not in tree")
 
     def path_min_edge(self, x, y):

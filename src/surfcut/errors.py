@@ -25,6 +25,10 @@ class CurveShapeError(SurfcutError):
     """Edge set is not a weakly simple cycle or cycle-path pair."""
 
 
+class InstanceTooLargeError(SurfcutError):
+    """Too many edges for a collision-free weight perturbation."""
+
+
 class GenusLimitError(SurfcutError):
     """Input genus exceeds the configured maximum."""
 

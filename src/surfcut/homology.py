@@ -1,4 +1,4 @@
-"""Z2 homology over embedded graphs: bases, signatures, covers, tight cycles.
+"""Z2 homology over embedded graphs: bases, signatures, tight cycles and paths.
 
 Signatures are int bitmasks of length 2g.  The basis is built from a
 tree-cotree split: a spanning tree T of the graph, a spanning tree L of the
@@ -14,8 +14,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .embed import EmbeddedGraph, ClosedCurve, dual, edge_of, twin, uncross_walk
+from .embed import EmbeddedGraph, dual, uncross_walk
 from .errors import NoPathError
+
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -133,107 +135,131 @@ def is_null_homologous(x, basis: HomologyBasis) -> bool:
     return basis.signature(x) == 0
 
 
-@dataclass(frozen=True)
-class CoverGraph:
-    """Explicit 2^{2g}-sheet homology cover of the basis's host graph."""
+def _cover_moves(g: EmbeddedGraph, signatures, classes: int):
+    """Non-backtracking steps of every dart in the homology cover.
 
-    base: EmbeddedGraph
-    basis: HomologyBasis
-    vertices: tuple       # (base vertex, sheet)
-    edges: tuple          # ((u, s), (v, s ^ sig(e)), weight, base edge)
-
-
-def cover_graph(g: EmbeddedGraph, basis: HomologyBasis) -> CoverGraph:
-    sheets = 1 << (2 * basis.genus)
-    vertices = tuple((v, s) for v in range(g.vertex_count)
-                     for s in range(sheets))
-    edges = []
-    for e, (u, v, w) in enumerate(g.edges):
-        se = basis.edge_signature[e]
-        for s in range(sheets):
-            edges.append(((u, s), (v, s ^ se), w, e))
-    return CoverGraph(g, basis, vertices, tuple(edges))
-
-
-def _dart_steps(g):
-    """For each dart d, the darts leaving head(d), with edge and weight."""
-    out = {}
+    ``moves[d]`` lists ``(d2 * classes, d2, weight, signature)`` for every
+    dart d2 that leaves the head of d along another edge.  Search state
+    (dart, class) lives at index ``dart * classes + class`` of flat lists.
+    """
+    edges = g.edges
+    tail = [0] * (2 * len(edges))
+    leaving = []
     for v, rot in enumerate(g.rotations):
-        moves = []
         for d in rot:
-            e = edge_of(d)
-            moves.append((d, e, g.edges[e][2]))
-        out[v] = moves
-    return out
+            tail[d] = v
+        leaving.append([(d * classes, d, edges[d >> 1][2], signatures[d >> 1])
+                        for d in rot])
+    return [[step for step in leaving[tail[d ^ 1]] if step[1] >> 1 != d >> 1]
+            for d in range(len(tail))]
+
+
+def _search(moves, classes, heap, dist, back, goal, pending):
+    """Non-backtracking Dijkstra over (dart, class) states, from the states on
+    ``heap``, serving every class of ``pending`` (class -> weight cap) at once.
+
+    A class leaves once a popped weight reaches its cap; otherwise its result
+    is the first popped state of that class whose dart is in ``goal``.  Goal
+    states are expanded like any other, since other classes' walks may pass
+    through them.  Consumes ``pending``; returns
+    ``{class: (weight, state index)}``.
+    """
+    pop, push = heapq.heappop, heapq.heappush
+    found = {}
+    floor = min(pending.values(), default=INF)
+    while heap and pending:
+        w, d, s = pop(heap)
+        i = d * classes + s
+        if w > dist[i]:
+            continue
+        if w >= floor:
+            pending = {c: cap for c, cap in pending.items() if cap > w}
+            floor = min(pending.values(), default=INF)
+            if not pending:
+                break
+        if d in goal and s in pending:
+            found[s] = (w, i)
+            del pending[s]
+            floor = min(pending.values(), default=INF)
+        for base, d2, w2, s2 in moves[d]:
+            s2 ^= s
+            j = base + s2
+            nw = w + w2
+            if nw < dist[j]:
+                dist[j] = nw
+                back[j] = i
+                push(heap, (nw, d2, s2))
+    return found
+
+
+def _walk(back, i, classes):
+    """Dart sequence ending at state ``i``, read off the back pointers."""
+    darts = []
+    while i >= 0:
+        darts.append(i // classes)
+        i = back[i]
+    darts.reverse()
+    return darts
+
+
+def _repeats_edge(darts) -> bool:
+    return len({d >> 1 for d in darts}) != len(darts)
 
 
 def tight_cycle(g: EmbeddedGraph, basis: HomologyBasis, h: int) -> frozenset:
-    """Minimum-weight weakly simple cycle with signature ``h``.
+    """Edge set of the tight cycle of class ``h``; see tight_cycle_walk."""
+    walks, missing = tight_cycle_walk(g, basis)
+    if h in missing:
+        raise NoPathError(missing[h])
+    return walks[h].edge_set()
 
-    Dart-level non-backtracking Dijkstra in the homology cover; the winning
-    closed walk is uncrossed so cut_along can consume it.
+
+def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
+    """Minimum-weight weakly simple cycle of every homology class.
+
+    For each start edge e0, in id order, one non-backtracking Dijkstra in the
+    homology cover finds the cheapest closed walk starting with e0 for every
+    class at once; a class leaves that search once it cannot beat its best
+    walk from earlier start edges.  A self-loop e0 is its own walk in its own
+    class.  Each winning walk is uncrossed so cut_along can consume it.
+
+    Returns ``(walks, missing)``: the ClosedCurve of every class that has
+    one, and for every other class the reason it has none.
     """
-    walk = tight_cycle_walk(g, basis, h)
-    return walk.edge_set()
-
-
-def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis, h: int) -> ClosedCurve:
-    moves = _dart_steps(g)
+    classes = 1 << (2 * basis.genus)
     sig = basis.edge_signature
-    best = None     # (weight, dart sequence)
-    for e0 in range(g.edge_count):
-        u0, v0, w0 = g.edges[e0]
-        if u0 == v0 and sig[e0] == h:
-            if best is None or w0 < best[0]:
-                best = (w0, [2 * e0])
-            continue
-        res = _closed_walk_from(g, moves, sig, 2 * e0, h,
-                                best[0] if best else None)
-        if res is not None and (best is None or res[0] < best[0]):
-            best = res
-    if best is None:
-        raise NoPathError(f"no cycle with signature {h}")
-    edges = [edge_of(d) for d in best[1]]
-    if len(set(edges)) != len(edges):
-        raise NoPathError(f"minimum closed walk in class {h} repeats an edge")
-    return uncross_walk(g, best[1])
-
-
-def _closed_walk_from(g, moves, sig, d0, h, cap):
-    """Cheapest non-backtracking closed walk starting with dart d0 in class h."""
-    e0 = edge_of(d0)
-    start_v = g.dart_vertex(d0)
-    w0 = g.edges[e0][2]
-    start = (d0, sig[e0])
-    dist = {start: w0}
-    back = {start: None}
-    heap = [(w0, d0, sig[e0])]
-    while heap:
-        w, d, s = heapq.heappop(heap)
-        if w > dist.get((d, s), -1):
-            continue
-        if cap is not None and w >= cap:
-            return None
-        e = edge_of(d)
-        head = g.dart_vertex(twin(d))
-        if head == start_v and s == h and e != e0:
-            walk = []
-            state = (d, s)
-            while state is not None:
-                walk.append(state[0])
-                state = back[state]
-            walk.reverse()
-            return (w, walk)
-        for d2, e2, w2 in moves[head]:
-            if e2 == e:
-                continue
-            s2 = s ^ sig[e2]
-            nw = w + w2
-            if nw < dist.get((d2, s2), float("inf")):
-                dist[(d2, s2)] = nw
-                back[(d2, s2)] = (d, s)
-                heapq.heappush(heap, (nw, d2, s2))
-    return None
+    moves = _cover_moves(g, sig, classes)
+    size = len(moves) * classes
+    back = [-1] * size
+    best = {}       # class -> (weight, dart sequence)
+    for e0, (u0, v0, w0) in enumerate(g.edges):
+        pending = {h: best[h][0] if h in best else INF
+                   for h in range(classes)}
+        if u0 == v0:
+            h = sig[e0]
+            if h not in best or w0 < best[h][0]:
+                best[h] = (w0, [2 * e0])
+            del pending[h]
+        d0 = 2 * e0
+        start = d0 * classes + sig[e0]
+        dist = [INF] * size
+        dist[start] = w0
+        back[start] = -1
+        goal = {d ^ 1 for d in g.rotations[u0] if d >> 1 != e0}
+        found = _search(moves, classes, [(w0, d0, sig[e0])], dist, back,
+                        goal, pending)
+        for h, (w, i) in found.items():
+            best[h] = (w, _walk(back, i, classes))
+    walks = {}
+    missing = {}
+    for h in range(classes):
+        if h not in best:
+            missing[h] = f"no cycle with signature {h}"
+        elif _repeats_edge(best[h][1]):
+            missing[h] = f"minimum closed walk in class {h} repeats an edge"
+        else:
+            walks[h] = uncross_walk(g, best[h][1])
+    return walks, missing
 
 
 def min_even_subgraph(g: EmbeddedGraph, basis: HomologyBasis, h: int):
@@ -246,13 +272,12 @@ def min_even_subgraph(g: EmbeddedGraph, basis: HomologyBasis, h: int):
     sheets = 1 << (2 * basis.genus)
     if h == 0:
         return frozenset(), 0
+    walks, _ = tight_cycle_walk(g, basis)
     cycles = {}
     for c in range(1, sheets):
-        try:
-            x = tight_cycle(g, basis, c)
-        except NoPathError:
-            continue
-        cycles[c] = (sum(g.weight(e) for e in x), x)
+        if c in walks:
+            x = walks[c].edge_set()
+            cycles[c] = (sum(g.weight(e) for e in x), x)
     dist = {0: (0, frozenset())}
     heap = [(0, 0)]
     while heap:
@@ -302,56 +327,43 @@ def boundary_vertices(g: EmbeddedGraph, face: int):
 
 
 def tight_path(h_graph: EmbeddedGraph, f_start: int, f_end: int,
-               signatures, target: int):
-    """Minimum-weight nonempty path between two boundary faces with the given
-    edge-signature sum, as a dart sequence.
+               signatures, targets):
+    """Minimum-weight nonempty path between two boundary faces in each target
+    class, as a dart sequence.
 
     ``signatures[e]`` labels each edge of ``h_graph``; classes are whatever
     group those labels generate (typically inherited from the parent graph
-    through the surgery's edge map).  Raises NoPathError if the class is
-    unreachable or the winner is not edge-simple.
+    through the surgery's edge map).  One multi-source search from the darts
+    leaving ``f_start``'s boundary serves every target.  Returns
+    ``(paths, missing)``: ``(darts, weight)`` of every target with a path,
+    and for every other target the reason it has none (unreachable, or the
+    winner is not edge-simple).
     """
-    starts = set(boundary_vertices(h_graph, f_start))
-    ends = set(boundary_vertices(h_graph, f_end))
-    moves = _dart_steps(h_graph)
-    dist = {}
-    back = {}
-    heap = []
-    for v in sorted(starts):
-        for d, e, w in moves[v]:
-            state = (d, signatures[e])
-            if w < dist.get(state, float("inf")):
-                dist[state] = w
-                back[state] = None
-                heapq.heappush(heap, (w, d, signatures[e]))
-    best = None
-    while heap:
-        w, d, s = heapq.heappop(heap)
-        if w > dist.get((d, s), -1):
+    classes = 1 << max([0, *signatures, *targets]).bit_length()
+    moves = _cover_moves(h_graph, signatures, classes)
+    size = len(moves) * classes
+    dist = [INF] * size
+    back = [-1] * size
+    heap = [(h_graph.edges[d >> 1][2], d, signatures[d >> 1])
+            for v in boundary_vertices(h_graph, f_start)
+            for d in h_graph.rotations[v]]
+    for w, d, s in heap:
+        dist[d * classes + s] = w
+    heapq.heapify(heap)
+    goal = {d ^ 1 for v in boundary_vertices(h_graph, f_end)
+            for d in h_graph.rotations[v]}
+    found = _search(moves, classes, heap, dist, back, goal,
+                    {t: INF for t in targets})
+    paths = {}
+    missing = {}
+    for t in targets:
+        if t not in found:
+            missing[t] = f"no boundary-to-boundary path with signature {t}"
             continue
-        e = edge_of(d)
-        head = h_graph.dart_vertex(twin(d))
-        if head in ends and s == target:
-            best = (w, d, s)
-            break
-        for d2, e2, w2 in moves[head]:
-            if e2 == e:
-                continue
-            s2 = s ^ signatures[e2]
-            nw = w + w2
-            if nw < dist.get((d2, s2), float("inf")):
-                dist[(d2, s2)] = nw
-                back[(d2, s2)] = (d, s)
-                heapq.heappush(heap, (nw, d2, s2))
-    if best is None:
-        raise NoPathError(f"no boundary-to-boundary path with signature {target}")
-    darts = []
-    state = (best[1], best[2])
-    while state is not None:
-        darts.append(state[0])
-        state = back[state]
-    darts.reverse()
-    edges = [edge_of(d) for d in darts]
-    if len(set(edges)) != len(edges):
-        raise NoPathError(f"minimum walk in class {target} repeats an edge")
-    return tuple(darts), best[0]
+        w, i = found[t]
+        darts = _walk(back, i, classes)
+        if _repeats_edge(darts):
+            missing[t] = f"minimum walk in class {t} repeats an edge"
+        else:
+            paths[t] = (tuple(darts), w)
+    return paths, missing

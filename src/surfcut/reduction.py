@@ -21,7 +21,6 @@ from .embed import (
 from .errors import (
     CurveShapeError,
     GenusLimitError,
-    NoPathError,
     SeparatingCutError,
 )
 from .homology import homology_basis, tight_cycle_walk, tight_path
@@ -71,19 +70,8 @@ def tight_cycles_all(g: EmbeddedGraph):
     """One tight cycle per homology class, as edge sets (empty for genus 0)."""
     if g.genus == 0:
         return []
-    walks, _ = _tight_cycle_walks(g, homology_basis(g))
+    walks, _ = tight_cycle_walk(g, homology_basis(g))
     return [walks[h].edge_set() for h in sorted(walks)]
-
-
-def _tight_cycle_walks(g, basis):
-    walks = {}
-    skipped = []
-    for h in range(1 << (2 * g.genus)):
-        try:
-            walks[h] = tight_cycle_walk(g, basis, h)
-        except NoPathError as exc:
-            skipped.append(f"cycle class {h}: {exc}")
-    return walks, skipped
 
 
 def _inherited_signatures(child, basis):
@@ -110,7 +98,7 @@ def cycle_path_pairs(g: EmbeddedGraph):
     without a valid path are skipped.
     """
     basis = homology_basis(g)
-    walks, _ = _tight_cycle_walks(g, basis)
+    walks, _ = tight_cycle_walk(g, basis)
     pairs = []
     for h in sorted(walks):
         try:
@@ -118,11 +106,8 @@ def cycle_path_pairs(g: EmbeddedGraph):
         except (SeparatingCutError, CurveShapeError):
             continue
         sigs = _inherited_signatures(cut, basis)
-        for target in range(1 << (2 * g.genus)):
-            try:
-                darts, _ = tight_path(cut, b1, b2, sigs, target)
-            except NoPathError:
-                continue
+        paths, _ = tight_path(cut, b1, b2, sigs, range(1 << (2 * g.genus)))
+        for darts, _ in paths.values():
             path = frozenset(cut.origin_edge_map.get(e, e)
                              for e in (d // 2 for d in darts))
             pairs.append((walks[h].edge_set(), path))
@@ -166,11 +151,12 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
             return
         slot = expected_size(h.genus - 1)
         basis = homology_basis(h)
-        walks, missing = _tight_cycle_walks(h, basis)
+        walks, missing = tight_cycle_walk(h, basis)
         classes = 1 << (2 * h.genus)
-        for reason in missing:
+        for c, reason in missing.items():
             attempted[0] += slot * (1 + classes)
-            skipped.append(f"{'/'.join(prov) or 'root'}: {reason}")
+            skipped.append(
+                f"{'/'.join(prov) or 'root'}: cycle class {c}: {reason}")
         for c in sorted(walks):
             walk = walks[c]
             try:
@@ -185,16 +171,20 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
             recurse(cut, em, fm, annotation + [cyc_orig],
                     prov + [f"cycle h={c}"], cuts + [("cycle", cyc_orig)])
             sigs = _inherited_signatures(cut, basis)
+            paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
             for target in range(classes):
-                try:
-                    darts, _ = tight_path(cut, b1, b2, sigs, target)
-                    both = cut_along_curves(
-                        cut, [OpenCurve(darts, b1, b2)])
-                except (NoPathError, SeparatingCutError,
-                        CurveShapeError) as exc:
+                reason = no_path.get(target)
+                if reason is None:
+                    darts, _ = paths[target]
+                    try:
+                        both = cut_along_curves(
+                            cut, [OpenCurve(darts, b1, b2)])
+                    except (SeparatingCutError, CurveShapeError) as exc:
+                        reason = exc
+                if reason is not None:
                     attempted[0] += slot
                     skipped.append(f"{'/'.join(prov) or 'root'}: "
-                                   f"pair h={c} p={target}: {exc}")
+                                   f"pair h={c} p={target}: {reason}")
                     continue
                 path_orig = frozenset(em[d // 2] for d in darts)
                 em2, fm2 = compose(em, fm, both)

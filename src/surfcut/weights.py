@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+from .errors import InstanceTooLargeError
+
 SCALE = 1 << 20
 
 
@@ -27,7 +29,10 @@ def residues(m: int, seed: int):
     """Distinct residues for ``m`` edges, reproducible for a given seed."""
     bound = _residue_bound(m)
     if bound < m:
-        raise ValueError(f"too many edges ({m}) for a collision-free perturbation")
+        limit = next(k for k in range(m - 1, 0, -1) if _residue_bound(k) >= k)
+        raise InstanceTooLargeError(
+            f"{m} edges exceed the {limit}-edge limit of a collision-free "
+            f"weight perturbation")
     rng = random.Random(seed)
     return rng.sample(range(bound), m)
 

@@ -52,6 +52,17 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    def test_instance_too_large(self, tmp_path, capsys):
+        path = tmp_path / "p200.graph"
+        assert run(["gen", "planar", "--size", "200", "-o", str(path)]) == 0
+        assert parse_graph(path.read_text()).edge_count == 594
+        capsys.readouterr()
+        assert run(["build", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: 594 edges exceed the 511-edge limit")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_crossing_cuts(self, torus_file, monkeypatch, capsys):
         def boom(*a, **k):
             raise CrossingCutsError("minimum cuts cross")

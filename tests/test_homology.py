@@ -1,13 +1,22 @@
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfcut import gen
-from surfcut.embed import boundary_of_faces, cut_along, cycle_decomposition
-from surfcut.errors import NoPathError
+from surfcut.embed import (
+    boundary_of_faces,
+    cut_along,
+    cycle_decomposition,
+    edge_of,
+    twin,
+    uncross_walk,
+)
+from surfcut.errors import CurveShapeError, NoPathError, SeparatingCutError
 from surfcut.homology import (
     boundary_vertices,
-    cover_graph,
     format_signature,
     homology_basis,
     is_null_homologous,
@@ -18,6 +27,7 @@ from surfcut.homology import (
     tight_cycle_walk,
     tight_path,
 )
+from surfcut.reduction import _cut_cycle, _inherited_signatures
 
 ROW0 = frozenset({0, 1, 2})
 COL0 = frozenset({9, 12, 15})
@@ -146,18 +156,6 @@ class TestNullHomology:
         assert is_null_homologous(ROW0 ^ frozenset({3, 4, 5}), basis)
 
 
-class TestCover:
-    def test_cover_shape(self):
-        g = gen.torus_grid(3)
-        basis = homology_basis(g)
-        cov = cover_graph(g, basis)
-        assert len(cov.vertices) == 9 * 4
-        assert len(cov.edges) == 18 * 4
-        for (u, s), (v, s2), w, e in cov.edges:
-            assert s2 == s ^ basis.edge_signature[e]
-            assert w == g.weight(e)
-
-
 class TestTightCycle:
     def test_unit_grid_table(self):
         g = gen.torus_grid(3)
@@ -196,9 +194,10 @@ class TestTightCycle:
     def test_signature_of_result(self):
         g = gen.torus_grid(4, seed=13)
         basis = homology_basis(g)
+        walks, missing = tight_cycle_walk(g, basis)
+        assert not missing
         for h in range(4):
-            walk = tight_cycle_walk(g, basis, h)
-            assert basis.signature(walk.edge_set()) == h
+            assert basis.signature(walks[h].edge_set()) == h
 
 
 class TestMinEvenSubgraph:
@@ -243,6 +242,11 @@ class TestMinEvenSubgraph:
             assert w == w_oracle
 
 
+def one_path(h, f1, f2, sigs, target):
+    paths, _ = tight_path(h, f1, f2, sigs, [target])
+    return paths[target]
+
+
 class TestTightPath:
     def cut_grid(self, weights=None):
         g = gen.torus_grid(3, weights=weights)
@@ -253,15 +257,15 @@ class TestTightPath:
 
     def test_planar_cut_shortest(self):
         g, h, f1, f2, sigs = self.cut_grid()
-        darts, w = tight_path(h, f1, f2, sigs, 0)
+        darts, w = one_path(h, f1, f2, sigs, 0)
         assert w == 3
         assert len(darts) == 3
 
     def test_weight_monotonicity(self):
         g, h, f1, f2, sigs = self.cut_grid()
-        _, w = tight_path(h, f1, f2, sigs, 0)
+        _, w = one_path(h, f1, f2, sigs, 0)
         bumped = h.with_weights([wt + 1 for _, _, wt in h.edges])
-        _, w2 = tight_path(bumped, f1, f2, sigs, 0)
+        _, w2 = one_path(bumped, f1, f2, sigs, 0)
         assert w2 == w + 3
 
     def test_inherited_classes(self):
@@ -269,12 +273,9 @@ class TestTightPath:
         basis = homology_basis(g)
         sigs = [basis.edge_signature[h.origin_edge_map[e]]
                 for e in range(h.edge_count)]
+        paths, _ = tight_path(h, f1, f2, sigs, range(4))
         found = {}
-        for target in range(4):
-            try:
-                darts, w = tight_path(h, f1, f2, sigs, target)
-            except NoPathError:
-                continue
+        for target, (darts, w) in paths.items():
             acc = 0
             for d in darts:
                 acc ^= sigs[d // 2]
@@ -284,7 +285,7 @@ class TestTightPath:
 
     def test_nonempty(self):
         g, h, f1, f2, sigs = self.cut_grid()
-        darts, w = tight_path(h, f1, f2, sigs, 0)
+        darts, w = one_path(h, f1, f2, sigs, 0)
         assert len(darts) >= 1
         assert w > 0
 
@@ -294,3 +295,167 @@ class TestTightPath:
         f1, f2 = sorted(h.boundary_faces)
         assert len(boundary_vertices(h, f1)) == 3
         assert len(boundary_vertices(h, f2)) == 3
+
+
+# -- the per-class searches the batched ones replaced, kept as the oracle ----
+
+def _dart_steps(g):
+    out = {}
+    for v, rot in enumerate(g.rotations):
+        out[v] = [(d, edge_of(d), g.edges[edge_of(d)][2]) for d in rot]
+    return out
+
+
+def per_class_tight_cycle_walk(g, basis, h):
+    moves = _dart_steps(g)
+    sig = basis.edge_signature
+    best = None
+    for e0 in range(g.edge_count):
+        u0, v0, w0 = g.edges[e0]
+        if u0 == v0 and sig[e0] == h:
+            if best is None or w0 < best[0]:
+                best = (w0, [2 * e0])
+            continue
+        res = _closed_walk_from(g, moves, sig, 2 * e0, h,
+                                best[0] if best else None)
+        if res is not None and (best is None or res[0] < best[0]):
+            best = res
+    if best is None:
+        raise NoPathError(f"no cycle with signature {h}")
+    edges = [edge_of(d) for d in best[1]]
+    if len(set(edges)) != len(edges):
+        raise NoPathError(f"minimum closed walk in class {h} repeats an edge")
+    return uncross_walk(g, best[1])
+
+
+def _closed_walk_from(g, moves, sig, d0, h, cap):
+    e0 = edge_of(d0)
+    start_v = g.dart_vertex(d0)
+    w0 = g.edges[e0][2]
+    start = (d0, sig[e0])
+    dist = {start: w0}
+    back = {start: None}
+    heap = [(w0, d0, sig[e0])]
+    while heap:
+        w, d, s = heapq.heappop(heap)
+        if w > dist.get((d, s), -1):
+            continue
+        if cap is not None and w >= cap:
+            return None
+        e = edge_of(d)
+        head = g.dart_vertex(twin(d))
+        if head == start_v and s == h and e != e0:
+            walk = []
+            state = (d, s)
+            while state is not None:
+                walk.append(state[0])
+                state = back[state]
+            walk.reverse()
+            return (w, walk)
+        for d2, e2, w2 in moves[head]:
+            if e2 == e:
+                continue
+            s2 = s ^ sig[e2]
+            nw = w + w2
+            if nw < dist.get((d2, s2), float("inf")):
+                dist[(d2, s2)] = nw
+                back[(d2, s2)] = (d, s)
+                heapq.heappush(heap, (nw, d2, s2))
+    return None
+
+
+def per_class_tight_path(h_graph, f_start, f_end, signatures, target):
+    starts = set(boundary_vertices(h_graph, f_start))
+    ends = set(boundary_vertices(h_graph, f_end))
+    moves = _dart_steps(h_graph)
+    dist = {}
+    back = {}
+    heap = []
+    for v in sorted(starts):
+        for d, e, w in moves[v]:
+            state = (d, signatures[e])
+            if w < dist.get(state, float("inf")):
+                dist[state] = w
+                back[state] = None
+                heapq.heappush(heap, (w, d, signatures[e]))
+    best = None
+    while heap:
+        w, d, s = heapq.heappop(heap)
+        if w > dist.get((d, s), -1):
+            continue
+        e = edge_of(d)
+        head = h_graph.dart_vertex(twin(d))
+        if head in ends and s == target:
+            best = (w, d, s)
+            break
+        for d2, e2, w2 in moves[head]:
+            if e2 == e:
+                continue
+            s2 = s ^ signatures[e2]
+            nw = w + w2
+            if nw < dist.get((d2, s2), float("inf")):
+                dist[(d2, s2)] = nw
+                back[(d2, s2)] = (d, s)
+                heapq.heappush(heap, (nw, d2, s2))
+    if best is None:
+        raise NoPathError(
+            f"no boundary-to-boundary path with signature {target}")
+    darts = []
+    state = (best[1], best[2])
+    while state is not None:
+        darts.append(state[0])
+        state = back[state]
+    darts.reverse()
+    edges = [edge_of(d) for d in darts]
+    if len(set(edges)) != len(edges):
+        raise NoPathError(f"minimum walk in class {target} repeats an edge")
+    return tuple(darts), best[0]
+
+
+@st.composite
+def surfaces(draw):
+    """Torus grids k=2..4, the same with a handle edge (genus 2), or the
+    one-vertex double torus (self-loops only); weights all 1, 1..3 or
+    1..100."""
+    kind = draw(st.sampled_from(["torus", "handle", "loops"]))
+    if kind == "loops":
+        g = gen.double_torus_one_vertex()
+    else:
+        g = gen.torus_grid(draw(st.integers(2, 4)))
+        if kind == "handle":
+            g = gen.add_edge_between_faces(
+                g, 0, draw(st.integers(1, g.face_count - 1)))
+    top = draw(st.sampled_from([1, 3, 100]))
+    return g.with_weights(draw(st.lists(st.integers(1, top),
+                                        min_size=g.edge_count,
+                                        max_size=g.edge_count)))
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NoPathError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surfaces())
+def test_batched_searches_match_per_class_searches(g):
+    basis = homology_basis(g)
+    classes = 1 << (2 * basis.genus)
+    walks, missing = tight_cycle_walk(g, basis)
+    assert sorted([*walks, *missing]) == list(range(classes))
+    for h in range(classes):
+        want = _outcome(per_class_tight_cycle_walk, g, basis, h)
+        assert (walks[h] if h in walks else missing[h]) == want
+    for h, walk in walks.items():
+        try:
+            cut, b1, b2 = _cut_cycle(g, walk)
+        except (SeparatingCutError, CurveShapeError):
+            continue
+        sigs = _inherited_signatures(cut, basis)
+        paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
+        assert sorted([*paths, *no_path]) == list(range(classes))
+        for t in range(classes):
+            want = _outcome(per_class_tight_path, cut, b1, b2, sigs, t)
+            assert (paths[t] if t in paths else no_path[t]) == want
