@@ -1,4 +1,7 @@
-"""Command-line frontend: generate, build, query, verify, benchmark.
+"""Command-line frontend: generate, build, query, verify.
+
+``build`` writes only the cut tree and the seed; ``query`` rebuilds the LCA
+index from the stored tree and answers each pair line in O(1).
 
 Exit codes: 0 success, 2 input failure (a malformed graph, or a bad query
 pair line), 3 genus above the configured maximum, 4 crossing minimum cuts
@@ -11,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-import time
 
 from . import gen, weights
 from .cuttree import CutTree, dual_cut_tree, host_checksum, validate_cut_tree
@@ -74,18 +76,7 @@ def build_tree(g, seed: int, genus_max: int):
 def cmd_build(args):
     g = parse_graph(_read(args.input))
     tree = build_tree(g, args.seed, args.genus_max)
-    idx = build_index(tree, lca=args.lca)
-    payload = {
-        "tree": json.loads(tree.to_json()),
-        "cartesian": {
-            "children": [list(c) for c in idx.children],
-            "weight": idx.weight,
-            "edge_index": idx.edge_index,
-            "root": idx.root,
-            "lca": args.lca,
-        },
-        "seed": args.seed,
-    }
+    payload = {"tree": json.loads(tree.to_json()), "seed": args.seed}
     _write(args.output, json.dumps(payload, sort_keys=True,
                                    separators=(",", ":")) + "\n")
     return 0
@@ -94,7 +85,7 @@ def cmd_build(args):
 def cmd_query(args):
     payload = json.loads(_read(args.tree))
     tree = CutTree.from_json(json.dumps(payload["tree"]))
-    idx = build_index(tree, lca=args.lca)
+    idx = build_index(tree)
     results = []
     for lineno, line in enumerate(_read(args.pairs).splitlines(), 1):
         line = line.split("#")[0].strip()
@@ -162,56 +153,12 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_bench(args):
-    from . import _dinic_py
-    from .cuttree import KERNEL
-    try:
-        from . import _dinic
-        kernels = [("compiled", _dinic.max_flow), ("pure", _dinic_py.max_flow)]
-    except ImportError:
-        kernels = [("pure", _dinic_py.max_flow)]
-    rng = random.Random(args.seed)
-    n = args.size
-    edges = [(rng.randrange(v), v, rng.randint(1, 1000))
-             for v in range(1, n)]
-    edges += [(rng.randrange(n), rng.randrange(n), rng.randint(1, 1000))
-              for _ in range(3 * n)]
-    edges = [(u, v, w) for u, v, w in edges if u != v]
-    lines = [f"active kernel: {KERNEL}",
-             f"max-flow, n={n}, m={len(edges)}, 20 terminal pairs:"]
-    results = {"kernel": KERNEL, "maxflow": {}}
-    for name, fn in kernels:
-        t0 = time.perf_counter()
-        for i in range(20):
-            fn(n, edges, i % n, (n // 2 + i) % n)
-        dt = time.perf_counter() - t0
-        lines.append(f"  {name:10s} {dt:8.3f}s")
-        results["maxflow"][name] = dt
-    # query throughput
-    t = CutTree(tuple(range(n)), tuple(
-        (rng.randrange(v), v, rng.randint(1, 10**9)) for v in range(1, n)))
-    for lca in ("sparse", "block"):
-        idx = build_index(t, lca=lca)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(50000)]
-        pairs = [(x, y) for x, y in pairs if x != y]
-        t0 = time.perf_counter()
-        for x, y in pairs:
-            min_cut_query(idx, x, y)
-        rate = len(pairs) / (time.perf_counter() - t0)
-        lines.append(f"query backend {lca}: {rate:,.0f} queries/s")
-        results[f"query_{lca}_per_s"] = rate
-    _emit(args, results, lines)
-    return 0
-
-
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="surfcut",
         description="all-pairs minimum cuts on surface-embedded graphs")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--genus-max", type=int, default=2)
-    parser.add_argument("--lca", choices=("sparse", "block"),
-                        default="sparse")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,11 +184,6 @@ def make_parser():
     p.add_argument("--max-weight", type=int, default=100)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="time kernels and query throughput")
-    p.add_argument("--size", type=int, default=2000)
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

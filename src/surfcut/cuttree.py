@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embed import EmbeddedGraph, dual
 from .errors import DisconnectedGraphError
@@ -261,56 +261,6 @@ def dual_cut_tree(g: EmbeddedGraph, annotation_weight: int = 0,
     if annotation_weight:
         t = t.with_weights([w + annotation_weight for _, _, w in t.edges])
     return t
-
-
-@dataclass(frozen=True)
-class RegionTree:
-    """Rooted form of a cut tree with one leaf attached to every node.
-
-    ``parent[v]`` maps an internal node to ``(parent internal node, weight)``;
-    the root maps to None.  ``leaf_of`` pairs each internal node with its leaf.
-    """
-
-    root: int
-    parent: dict = field(compare=False)
-    complete: bool = True
-
-    def internal_nodes(self):
-        return sorted(self.parent)
-
-    def leaf_side(self, v):
-        """Host vertices under v (the cut side of v's parent edge)."""
-        children = {}
-        for x, p in self.parent.items():
-            if p is not None:
-                children.setdefault(p[0], []).append(x)
-        out = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(children.get(x, ()))
-        return frozenset(out)
-
-
-def region_tree(t: CutTree) -> RegionTree:
-    root = min(t.nodes)
-    adj = t.adjacency()
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v, w, _ in sorted(adj[u]):
-            if v not in parent:
-                parent[v] = (u, w)
-                stack.append(v)
-    return RegionTree(root, parent)
-
-
-def contract_leaves(r: RegionTree) -> CutTree:
-    edges = tuple(sorted((min(v, p[0]), max(v, p[0]), p[1])
-                         for v, p in r.parent.items() if p is not None))
-    return CutTree(tuple(sorted(r.parent)), edges)
 
 
 def validate_cut_tree(t: CutTree, n, edges, pair_check=True):

@@ -21,10 +21,6 @@ from .errors import (
 )
 
 
-def dart(edge_id: int, side: int) -> int:
-    return 2 * edge_id + side
-
-
 def edge_of(d: int) -> int:
     return d >> 1
 
@@ -91,10 +87,6 @@ class EmbeddedGraph:
     def dart_head(self, d: int) -> int:
         return self.dart_vertex(twin(d))
 
-    def rot_next(self, d: int) -> int:
-        rot = self.rotations[self.dart_vertex(d)]
-        return rot[(rot.index(d) + 1) % len(rot)]
-
     def with_weights(self, weights) -> "EmbeddedGraph":
         edges = tuple((u, v, w) for (u, v, _), w in zip(self.edges, weights))
         return EmbeddedGraph(self.vertex_count, edges, self.rotations,
@@ -152,9 +144,6 @@ class EmbeddedGraph:
 
     def ordinary_faces(self):
         return [f for f in range(self.face_count) if f not in self.boundary_faces]
-
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -350,110 +339,21 @@ def _chords_cross(a1, b1, a2, b2, m):
 # Surgery
 
 
-def cut_along(g: EmbeddedGraph, x, curves=None) -> EmbeddedGraph:
+def cut_along(g: EmbeddedGraph, x) -> EmbeddedGraph:
     """Cut the surface along ``x``, duplicating its edges.
 
-    ``x`` must be (the edge set of) a weakly simple cycle, or a cycle plus a
-    simple path whose endpoints lie on the cycle.  ``curves`` may supply the
-    explicit walk structure; otherwise it is derived from the rotation system.
+    ``x`` must be (the edge set of) a single weakly simple cycle; its walk is
+    derived from the rotation system.  Use :func:`cut_along_curves` to cut
+    along explicit closed and open curves.
     """
     x = frozenset(x)
     for e in x:
         if e >= g.edge_count:
             raise ValueError(f"edge {e} not in graph")
-    if curves is not None:
-        return cut_along_curves(g, curves)
-    odd = [v for v in range(g.vertex_count)
-           if sum(1 for d in g.rotations[v] if edge_of(d) in x) % 2]
-    if not odd:
-        walks = curves_from_edge_set(g, x)
-        if len(walks) != 1:
-            raise CurveShapeError("edge set is not a single cycle")
-        return cut_along_curves(g, walks)
-    if len(odd) != 2:
-        raise CurveShapeError("edge set is not a cycle or cycle-path pair")
-    cycle_edges, path_darts = _split_cycle_path(g, x, odd)
-    h = cut_along(g, cycle_edges)
-    lifted = _lift_path(g, h, path_darts)
-    f0 = _boundary_face_at(h, lifted[0], start=True)
-    f1 = _boundary_face_at(h, lifted[-1], start=False)
-    out = cut_along_curves(h, [OpenCurve(tuple(lifted), f0, f1)])
-    return _compose_origins(g, h, out)
-
-
-def _split_cycle_path(g, x, odd):
-    """Split a cycle-plus-path edge set into the cycle and a dart path."""
-    adj = {}
-    for e in sorted(x):
-        u, v, _ = g.edges[e]
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-    s, t = odd
-    # path: walk from s to t through vertices of degree < 3 in x when possible
-    for first in adj[s]:
-        path = _try_path(adj, s, t, first, x)
-        if path is None:
-            continue
-        rest = x - {e for _, e in path}
-        if not rest:
-            continue
-        try:
-            walks = curves_from_edge_set(g, rest)
-        except CurveShapeError:
-            continue
-        if len(walks) != 1:
-            continue
-        darts = []
-        cur = s
-        for v, e in path:
-            u0, v0, _ = g.edges[e]
-            darts.append(2 * e if u0 == cur else 2 * e + 1)
-            cur = v
-        return frozenset(rest), darts
-    raise CurveShapeError("cannot split edge set into cycle plus path")
-
-
-def _try_path(adj, s, t, first, x):
-    path = [first]
-    seen = {s, first[0]}
-    cur = first[0]
-    while cur != t:
-        nxt = [(v, e) for v, e in adj.get(cur, [])
-               if e != path[-1][1] and v not in seen]
-        if len(nxt) != 1:
-            return None
-        path.append(nxt[0])
-        seen.add(nxt[0][0])
-        cur = nxt[0][0]
-    return path
-
-
-def _lift_path(g, h, path_darts):
-    """Lift darts of a path from ``g`` into ``h = g cut along C``.
-
-    Non-cycle darts keep their ids; only the endpoints' vertices moved.
-    """
-    return list(path_darts)
-
-
-def _boundary_face_at(h, d, start):
-    v = h.dart_vertex(d) if start else h.dart_head(d)
-    for f in sorted(h.boundary_faces):
-        if any(h.dart_vertex(x) == v for x in h.faces()[f]):
-            return f
-    raise CurveShapeError("path endpoint is not on a boundary face")
-
-
-def _compose_origins(g, mid, out):
-    face_map = {f: mid.origin_face_map[p]
-                for f, p in out.origin_face_map.items()
-                if p in mid.origin_face_map}
-    edge_map = {}
-    for e in range(out.edge_count):
-        p = out.origin_edge_map.get(e, e)
-        edge_map[e] = mid.origin_edge_map.get(p, p)
-    return EmbeddedGraph(out.vertex_count, out.edges, out.rotations,
-                         out.boundary_faces, face_map, edge_map)
+    walks = curves_from_edge_set(g, x)
+    if len(walks) != 1:
+        raise CurveShapeError("edge set is not a single cycle")
+    return cut_along_curves(g, walks)
 
 
 def cut_along_curves(g: EmbeddedGraph, curves) -> EmbeddedGraph:
@@ -614,21 +514,19 @@ def _rebuild_cut(g, x, chords):
         origin_edge_map[c] = e
 
     out = EmbeddedGraph(len(new_rotations), tuple(edges), tuple(new_rotations))
-    if not out.is_connected():
-        raise SeparatingCutError("cut disconnects the graph")
+    try:
+        faces = out.faces()
+    except DisconnectedGraphError:
+        raise SeparatingCutError("cut disconnects the graph") from None
 
-    # classify faces: ordinary faces keep their projected dart set
+    # classify faces: ordinary faces keep their projected dart set (both
+    # copies of a cut edge project onto the original edge, side by side)
     old_key = {frozenset(cyc): f for f, cyc in enumerate(g.faces())}
-
-    def project(d):
-        e = edge_of(d)
-        pe = origin_edge_map[e]
-        return 2 * pe + side_of(d) if e < m_old else _copy_project(d, pe, copy2_id)
-
     face_map = {}
     boundary = set()
-    for f, cyc in enumerate(out.faces()):
-        key = frozenset(project(d) for d in cyc)
+    for f, cyc in enumerate(faces):
+        key = frozenset(2 * origin_edge_map[edge_of(d)] + side_of(d)
+                        for d in cyc)
         if len(key) == len(cyc) and key in old_key:
             face_map[f] = old_key.pop(key)
         else:
@@ -644,14 +542,9 @@ def _rebuild_cut(g, x, chords):
             final_face_map[f] = old_f
     result = EmbeddedGraph(out.vertex_count, out.edges, out.rotations,
                            frozenset(boundary), final_face_map, origin_edge_map)
+    object.__setattr__(result, "_faces", faces)     # same rotations, same faces
     object.__setattr__(result, "new_boundary_faces", fresh)
     return result
-
-
-def _copy_project(d, pe, copy2_id):
-    # second copy of edge pe: its dart 0 is the cw half of dart 2*pe,
-    # its dart 1 the ccw half of dart 2*pe+1 -- both project by side.
-    return 2 * pe + side_of(d)
 
 
 def _end_items(end):

@@ -22,7 +22,7 @@ class SeparatingCutError(SurfcutError):
 
 
 class CurveShapeError(SurfcutError):
-    """Edge set is not a weakly simple cycle or cycle-path pair."""
+    """Edge set or curve system that surgery cannot cut along."""
 
 
 class InstanceTooLargeError(SurfcutError):
@@ -35,10 +35,6 @@ class GenusLimitError(SurfcutError):
 
 class CrossingCutsError(SurfcutError):
     """Minimum cuts from different trees cross; merging is undefined."""
-
-
-class TieError(SurfcutError):
-    """Weight perturbation failed to make minimum cuts unique."""
 
 
 class NoPathError(SurfcutError):

@@ -3,9 +3,9 @@
 A Cartesian tree is built over the cut tree's edges (lightest edge at the
 root, built by merging components in decreasing weight order); the minimum
 edge weight on any tree path is then the weight at the lowest common
-ancestor of the two endpoint leaves.  LCA is answered in O(1) after linear
-preprocessing, with two interchangeable backends: an Euler-tour sparse table
-(O(n log n) space) and a block-decomposed +-1 RMQ (O(n) space).
+ancestor of the two endpoint leaves.  LCA is answered in O(1) by one
+Euler-tour sparse table (O(n log n) space).  Only the cut tree is stored;
+the index is rebuilt from it in linearithmic time when queries are made.
 """
 
 from __future__ import annotations
@@ -15,86 +15,12 @@ from dataclasses import dataclass
 from .cuttree import CutTree
 
 
-class _SparseRMQ:
-    """Index of the minimum over any range, via a doubling table."""
-
-    def __init__(self, values):
-        self.values = values
-        n = len(values)
-        self.table = [list(range(n))]
-        k = 1
-        while (1 << k) <= n:
-            prev = self.table[-1]
-            row = []
-            for i in range(n - (1 << k) + 1):
-                a, b = prev[i], prev[i + (1 << (k - 1))]
-                row.append(a if values[a] <= values[b] else b)
-            self.table.append(row)
-            k += 1
-
-    def argmin(self, lo, hi):        # inclusive range
-        k = (hi - lo + 1).bit_length() - 1
-        a = self.table[k][lo]
-        b = self.table[k][hi - (1 << k) + 1]
-        return a if self.values[a] <= self.values[b] else b
-
-
-class _BlockRMQ:
-    """O(n)-space RMQ for +-1 sequences (Euler tour depths)."""
-
-    def __init__(self, values):
-        self.values = values
-        n = len(values)
-        self.b = max(1, n.bit_length() // 2)
-        blocks = (n + self.b - 1) // self.b
-        self.block_argmin = []
-        patterns = []
-        for i in range(blocks):
-            lo = i * self.b
-            hi = min(n, lo + self.b)
-            arg = min(range(lo, hi), key=lambda j: values[j])
-            self.block_argmin.append(arg)
-            mask = 0
-            for j in range(lo + 1, hi):
-                if values[j] > values[j - 1]:
-                    mask |= 1 << (j - lo - 1)
-            patterns.append(mask)
-        self.patterns = patterns
-        self.top = _SparseRMQ([values[a] for a in self.block_argmin])
-        # per pattern: argmin for every in-block (lo, hi) pair
-        self.pattern_tables = {}
-        for mask in set(patterns):
-            depths = [0] * self.b
-            for j in range(1, self.b):
-                depths[j] = depths[j - 1] + (1 if mask >> (j - 1) & 1 else -1)
-            tab = {}
-            for lo in range(self.b):
-                best = lo
-                for hi in range(lo, self.b):
-                    if depths[hi] < depths[best]:
-                        best = hi
-                    tab[(lo, hi)] = best
-            self.pattern_tables[mask] = tab
-
-    def _in_block(self, blk, lo, hi):
-        tab = self.pattern_tables[self.patterns[blk]]
-        return blk * self.b + tab[(lo, hi)]
-
-    def argmin(self, lo, hi):        # inclusive range
-        bl, bh = lo // self.b, hi // self.b
-        if bl == bh:
-            return self._in_block(bl, lo - bl * self.b, hi - bl * self.b)
-        cand = [self._in_block(bl, lo - bl * self.b, self.b - 1),
-                self._in_block(bh, 0, hi - bh * self.b)]
-        if bh - bl > 1:
-            mid = self.top.argmin(bl + 1, bh - 1)
-            cand.append(self.block_argmin[mid])
-        return min(cand, key=lambda j: self.values[j])
-
-
 @dataclass
 class CartesianIndex:
-    """Cartesian tree over a cut tree's edges plus O(1) LCA tables."""
+    """Cartesian tree over a cut tree's edges plus an O(1) LCA table.
+
+    ``table[k][i]`` is the shallowest node among ``euler[i : i + 2**k]``.
+    """
 
     tree: CutTree
     children: list       # per cartesian node: () for leaves, (a, b) else
@@ -103,21 +29,23 @@ class CartesianIndex:
     leaf_of: dict        # cut-tree node -> cartesian leaf id
     root: int
     first: list          # node -> first position in the Euler tour
-    euler: list
-    rmq: object
+    depth: list          # node -> depth in the cartesian tree
+    table: list
 
     def lca(self, x, y):
         i, j = self.first[x], self.first[y]
         if i > j:
             i, j = j, i
-        return self.euler[self.rmq.argmin(i, j)]
+        k = (j - i + 1).bit_length() - 1
+        a = self.table[k][i]
+        b = self.table[k][j - (1 << k) + 1]
+        return a if self.depth[a] <= self.depth[b] else b
 
 
-def build_index(t: CutTree, lca: str = "sparse") -> CartesianIndex:
+def build_index(t: CutTree) -> CartesianIndex:
     """Preprocess a cut tree for O(1) min-cut queries.
 
-    ``lca`` picks the RMQ backend: "sparse" (Euler sparse table) or "block"
-    (linear-space +-1 blocks).  Weight ties are broken by edge index.
+    Weight ties are broken by edge index.
     """
     nodes = sorted(t.nodes)
     n = len(nodes)
@@ -148,30 +76,33 @@ def build_index(t: CutTree, lca: str = "sparse") -> CartesianIndex:
         root_of[a] = node
     root = root_of[find(0)] if n > 1 else 0
 
-    euler, depth, first = [], [], [None] * len(children)
-    stack = [(root, 0, iter(children[root]))]
-    euler.append(root)
-    depth.append(0)
-    first[root] = 0
+    euler = [root]
+    depth = [None] * len(children)
+    first = [None] * len(children)
+    depth[root] = first[root] = 0
+    stack = [(root, iter(children[root]))]
     while stack:
-        x, d, it = stack[-1]
+        x, it = stack[-1]
         child = next(it, None)
         if child is None:
             stack.pop()
             if stack:
                 euler.append(stack[-1][0])
-                depth.append(stack[-1][1])
             continue
+        depth[child] = depth[x] + 1
+        first[child] = len(euler)
         euler.append(child)
-        depth.append(d + 1)
-        if first[child] is None:
-            first[child] = len(euler) - 1
-        stack.append((child, d + 1, iter(children[child])))
-    if lca not in ("sparse", "block"):
-        raise ValueError(f"unknown lca backend {lca!r}")
-    backend = _SparseRMQ if lca == "sparse" else _BlockRMQ
+        stack.append((child, iter(children[child])))
+
+    table = [euler]
+    half = 1
+    while 2 * half <= len(euler):
+        prev = table[-1]
+        table.append([a if depth[a] <= depth[b] else b
+                      for a, b in zip(prev, prev[half:])])
+        half *= 2
     return CartesianIndex(t, children, weight, edge_index, leaf_of, root,
-                          first, euler, backend(depth))
+                          first, depth, table)
 
 
 def min_cut_query(idx: CartesianIndex, x, y):
@@ -191,9 +122,3 @@ def cut_partition(idx: CartesianIndex, x, y):
     side = idx.tree.bipartition(idx.edge_index[node])
     rest = frozenset(idx.tree.nodes) - side
     return (side, rest) if x in side else (rest, side)
-
-
-def batch_queries(idx: CartesianIndex, pairs):
-    """Evaluate (x, y) pairs, yielding (x, y, weight)."""
-    for x, y in pairs:
-        yield x, y, min_cut_query(idx, x, y)

@@ -152,6 +152,9 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
         slot = expected_size(h.genus - 1)
         basis = homology_basis(h)
         walks, missing = tight_cycle_walk(h, basis)
+        if walks.pop(0, None) is not None:
+            # a null-homologous simple cycle separates the surface: no cut
+            missing[0] = "null-homologous, separates the surface"
         classes = 1 << (2 * h.genus)
         for c, reason in missing.items():
             attempted[0] += slot * (1 + classes)

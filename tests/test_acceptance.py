@@ -174,10 +174,9 @@ def test_criterion_6_constant_time_queries():
         t = CutTree(tuple(range(n)), tuple(sorted(
             (rng.randrange(v), v, rng.randint(1, 10**6))
             for v in range(1, n))))
-        for lca in ("sparse", "block"):
-            idx = build_index(t, lca=lca)
-            for x, y in itertools.combinations(range(n), 2):
-                assert min_cut_query(idx, x, y) == t.path_min(x, y)
+        idx = build_index(t)
+        for x, y in itertools.combinations(range(n), 2):
+            assert min_cut_query(idx, x, y) == t.path_min(x, y)
     # per-query time across three decades of n (reported, not gating)
     times = {}
     rng = random.Random(9)

@@ -4,9 +4,11 @@ import json
 import pytest
 
 from surfcut import cli
+from surfcut.cuttree import CutTree
 from surfcut.embed import parse_graph
 from surfcut.errors import CrossingCutsError
 from surfcut.oracle import min_face_cut
+from surfcut.query import build_index
 
 
 def run(argv):
@@ -108,16 +110,44 @@ class TestBuildQuery:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "pass" in out
 
-    @pytest.mark.parametrize("lca", ["sparse", "block"])
-    def test_lca_backends_agree(self, torus_file, tmp_path, capsys, lca):
+    def test_artifact_holds_only_tree_and_seed(self, torus_file, tmp_path):
+        tree_path = tmp_path / "tree.json"
+        assert run(["--seed", "7", "build", str(torus_file),
+                    "-o", str(tree_path)]) == 0
+        payload = json.loads(tree_path.read_text())
+        assert set(payload) == {"seed", "tree"}
+        assert payload["seed"] == 7
+
+    def test_legacy_cartesian_block_is_ignored(self, torus_file, tmp_path,
+                                               capsys):
         tree_path = tmp_path / "tree.json"
         run(["build", str(torus_file), "-o", str(tree_path)])
         pairs_path = tmp_path / "pairs.txt"
-        pairs_path.write_text("0 8\n3 5\n")
-        assert run(["--lca", lca, "query", str(tree_path),
-                    str(pairs_path)]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
+        pairs_path.write_text("0 8\n3 5\n1 2\n")
+        assert run(["query", str(tree_path), str(pairs_path)]) == 0
+        want = capsys.readouterr().out
+        # the block older builds wrote next to the tree
+        payload = json.loads(tree_path.read_text())
+        idx = build_index(CutTree.from_json(json.dumps(payload["tree"])))
+        payload["cartesian"] = {
+            "children": [list(c) for c in idx.children],
+            "weight": idx.weight, "edge_index": idx.edge_index,
+            "root": idx.root, "lca": "sparse"}
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(payload, sort_keys=True,
+                                     separators=(",", ":")) + "\n")
+        assert run(["query", str(legacy), str(pairs_path)]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv", [
+        ["--lca", "sparse", "query", "tree.json", "pairs.txt"],
+        ["bench"],
+    ])
+    def test_removed_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -139,9 +169,3 @@ class TestDeterminism:
         assert run(["--seed", "1", "verify", str(torus_file)]) == 0
         assert "deterministic-rebuild: pass" in capsys.readouterr().out
 
-
-class TestBench:
-    def test_bench_runs(self, capsys):
-        assert run(["bench", "--size", "120"]) == 0
-        out = capsys.readouterr().out
-        assert "queries/s" in out and "kernel" in out

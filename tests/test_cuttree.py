@@ -6,11 +6,9 @@ from surfcut import gen, weights
 from surfcut import _dinic_py
 from surfcut.cuttree import (
     CutTree,
-    contract_leaves,
     dual_cut_tree,
     gomory_hu,
     max_flow_min_cut,
-    region_tree,
     validate_cut_tree,
 )
 from surfcut.oracle import (
@@ -137,30 +135,6 @@ class TestDualCutTree:
                 assert t.path_min(a, b) == w
                 assert w == min_face_cut(g, a, b)[0]
                 assert is_simple_cycle(x, g)
-
-
-class TestRegionTree:
-    def test_single_edge(self):
-        t = CutTree((0, 1), ((0, 1, 7),))
-        r = region_tree(t)
-        assert len(r.internal_nodes()) == 2
-        assert contract_leaves(r) == CutTree((0, 1), ((0, 1, 7),))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_round_trip(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 60)
-        edges = tuple(sorted((rng.randrange(v), v, rng.randint(1, 50))
-                             for v in range(1, n)))
-        t = CutTree(tuple(range(n)), edges)
-        assert contract_leaves(region_tree(t)) == t
-
-    def test_side_sets(self):
-        t = CutTree((0, 1, 2), ((0, 1, 5), (1, 2, 3)))
-        r = region_tree(t)
-        assert r.root == 0
-        assert r.leaf_side(1) == {1, 2}
-        assert r.leaf_side(2) == {2}
 
 
 class TestValidate:

@@ -3,11 +3,13 @@ import pytest
 from surfcut import gen
 from surfcut.embed import (
     EmbeddedGraph,
+    OpenCurve,
     boundary_of_faces,
     crosses,
     crosses_component_based,
     curves_from_edge_set,
     cut_along,
+    cut_along_curves,
     cycle_decomposition,
     dual,
     format_graph,
@@ -173,7 +175,6 @@ class TestCutAlong:
             assert w == g.weight(h.origin_edge_map[e])
 
     def test_cut_then_path_gives_disk(self):
-        from surfcut.embed import OpenCurve
         g = gen.torus_grid(3)
         h = cut_along(g, ROW0)
         # column through vertex 0 becomes a boundary-to-boundary path in h
@@ -185,8 +186,7 @@ class TestCutAlong:
         f1 = next(f for f in h.boundary_faces
                   if any(h.dart_vertex(d) in ends for d in h.faces()[f]))
         assert f0 != f1
-        disk = cut_along(h, frozenset({9, 12, 15}),
-                         curves=[OpenCurve(darts, f0, f1)])
+        disk = cut_along_curves(h, [OpenCurve(darts, f0, f1)])
         assert disk.genus == 0
         assert len(disk.boundary_faces) == 1
         assert disk.edge_count == 24

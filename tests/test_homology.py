@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from surfcut import gen
 from surfcut.embed import (
+    OpenCurve,
     boundary_of_faces,
     cut_along,
+    cut_along_curves,
     cycle_decomposition,
     edge_of,
+    trace_faces,
     twin,
     uncross_walk,
 )
@@ -459,3 +462,30 @@ def test_batched_searches_match_per_class_searches(g):
         for t in range(classes):
             want = _outcome(per_class_tight_path, cut, b1, b2, sigs, t)
             assert (paths[t] if t in paths else no_path[t]) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(surfaces())
+def test_surgery_children_keep_their_traced_faces(g):
+    """Each child of a cycle cut and of a cycle-path cut carries the faces
+    surgery traced for it; they equal a fresh trace of the child."""
+    basis = homology_basis(g)
+    classes = 1 << (2 * basis.genus)
+    walks, _ = tight_cycle_walk(g, basis)
+    children = []
+    for walk in walks.values():
+        try:
+            cut, b1, b2 = _cut_cycle(g, walk)
+        except (SeparatingCutError, CurveShapeError):
+            continue
+        children.append(cut)
+        sigs = _inherited_signatures(cut, basis)
+        paths, _ = tight_path(cut, b1, b2, sigs, range(classes))
+        for darts, _ in paths.values():
+            try:
+                children.append(
+                    cut_along_curves(cut, [OpenCurve(darts, b1, b2)]))
+            except (SeparatingCutError, CurveShapeError):
+                continue
+    for child in children:
+        assert child.faces() == trace_faces(child)

@@ -4,14 +4,7 @@ import random
 import pytest
 
 from surfcut.cuttree import CutTree
-from surfcut.query import (
-    batch_queries,
-    build_index,
-    cut_partition,
-    min_cut_query,
-)
-
-BACKENDS = ["sparse", "block"]
+from surfcut.query import build_index, cut_partition, min_cut_query
 
 
 def random_tree(n, seed, wmax=10**6):
@@ -21,10 +14,9 @@ def random_tree(n, seed, wmax=10**6):
 
 
 class TestBuild:
-    @pytest.mark.parametrize("lca", BACKENDS)
-    def test_path_tree_root_is_lightest(self, lca):
+    def test_path_tree_root_is_lightest(self):
         t = CutTree((1, 2, 3, 4), ((1, 2, 3), (2, 3, 1), (3, 4, 2)))
-        idx = build_index(t, lca=lca)
+        idx = build_index(t)
         assert idx.weight[idx.root] == 1
         assert t.edges[idx.edge_index[idx.root]] == (2, 3, 1)
 
@@ -33,10 +25,6 @@ class TestBuild:
         idx = build_index(t)
         assert len(idx.children) == 3        # two leaves, one internal
         assert idx.weight[idx.root] == 7
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            build_index(CutTree((0, 1), ((0, 1, 1),)), lca="magic")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_heap_property_on_root_paths(self, seed):
@@ -74,13 +62,12 @@ class TestQuery:
         with pytest.raises(ValueError):
             cut_partition(idx, 1, 1)
 
-    @pytest.mark.parametrize("lca", BACKENDS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_all_pairs_match_path_scan(self, lca, seed):
+    def test_all_pairs_match_path_scan(self, seed):
         rng = random.Random(seed)
         n = rng.randint(2, 120)
         t = random_tree(n, seed + 40)
-        idx = build_index(t, lca=lca)
+        idx = build_index(t)
         for x, y in itertools.combinations(range(n), 2):
             assert min_cut_query(idx, x, y) == t.path_min(x, y)
 
@@ -114,10 +101,3 @@ class TestPartition:
             assert len(cut_edges) == 1
             assert cut_edges[0][2] == w
 
-
-class TestBatch:
-    def test_yields_triples(self):
-        t = CutTree((0, 1, 2), ((0, 1, 5), (1, 2, 3)))
-        idx = build_index(t)
-        assert list(batch_queries(idx, [(0, 2), (0, 1)])) \
-            == [(0, 2, 3), (0, 1, 5)]

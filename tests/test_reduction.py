@@ -118,6 +118,10 @@ class TestCollectionMinCut:
         coll = planar_collection(weights.perturb_graph(g, seed=5))
         trees = member_trees(coll)
         assert coll.attempted == expected_size(2)
+        # class 0 is skipped without a surgery, one line per recursion node
+        class0 = [s for s in coll.skipped if ": cycle class 0" in s]
+        assert not [s for s in class0 if "cycle class 0 cut:" in s]
+        assert len(class0) == len({s.split(": ")[0] for s in coll.skipped})
         faces = sorted(g.ordinary_faces())
         for i, a in enumerate(faces):
             for b in faces[i + 1:]:
