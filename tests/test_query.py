@@ -6,6 +6,11 @@ import pytest
 from surfcut.cuttree import CutTree
 from surfcut.query import build_index, cut_partition, min_cut_query
 
+# Largest edge weight of a random tree: "sparse" draws nearly distinct
+# weights, "block" draws runs of tied weights, which the index must break
+# by edge index.
+WMAX = {"sparse": 10**6, "block": 3}
+
 
 def random_tree(n, seed, wmax=10**6):
     rng = random.Random(seed)
@@ -14,8 +19,10 @@ def random_tree(n, seed, wmax=10**6):
 
 
 class TestBuild:
-    def test_path_tree_root_is_lightest(self):
-        t = CutTree((1, 2, 3, 4), ((1, 2, 3), (2, 3, 1), (3, 4, 2)))
+    @pytest.mark.parametrize("weights", WMAX)
+    def test_path_tree_root_is_lightest(self, weights):
+        w = 2 if weights == "sparse" else 1     # tie: lower edge index wins
+        t = CutTree((1, 2, 3, 4), ((1, 2, 3), (2, 3, 1), (3, 4, w)))
         idx = build_index(t)
         assert idx.weight[idx.root] == 1
         assert t.edges[idx.edge_index[idx.root]] == (2, 3, 1)
@@ -62,11 +69,12 @@ class TestQuery:
         with pytest.raises(ValueError):
             cut_partition(idx, 1, 1)
 
+    @pytest.mark.parametrize("weights", WMAX)
     @pytest.mark.parametrize("seed", range(4))
-    def test_all_pairs_match_path_scan(self, seed):
+    def test_all_pairs_match_path_scan(self, weights, seed):
         rng = random.Random(seed)
         n = rng.randint(2, 120)
-        t = random_tree(n, seed + 40)
+        t = random_tree(n, seed + 40, WMAX[weights])
         idx = build_index(t)
         for x, y in itertools.combinations(range(n), 2):
             assert min_cut_query(idx, x, y) == t.path_min(x, y)
