@@ -3,7 +3,8 @@
 Graphs here are plain weighted edge lists over integer vertex ids; the
 embedded structure is only needed upstream.  The max-flow kernel is the
 compiled Dinic extension when available, with a pure Python fallback
-(``SURFCUT_PURE=1`` forces the fallback).
+(``SURFCUT_PURE=1`` forces the fallback).  Capacities too large for the
+compiled kernel's 64-bit arithmetic go to the fallback as well.
 """
 
 from __future__ import annotations
@@ -13,18 +14,19 @@ import json
 import os
 from dataclasses import dataclass
 
+from . import _dinic_py
 from .embed import EmbeddedGraph, dual
 from .errors import DisconnectedGraphError
 
 if os.environ.get("SURFCUT_PURE"):
-    from . import _dinic_py as _dinic
+    _dinic = _dinic_py
     KERNEL = "pure"
 else:
     try:
         from . import _dinic
         KERNEL = "compiled"
     except ImportError:
-        from . import _dinic_py as _dinic
+        _dinic = _dinic_py
         KERNEL = "pure"
 
 
@@ -35,6 +37,11 @@ def max_flow_min_cut(n, edges, s, t):
     arcs = [(u, v, w) for u, v, w in edges if w > 0]
     if any(not (0 <= u < n and 0 <= v < n) for u, v, _ in arcs):
         raise ValueError("edge endpoint out of range")
+    # The compiled kernel holds capacities in signed 64-bit ints.  A residual
+    # capacity is at most twice an edge's and the flow at most the total, so
+    # twice the total must stay below 2**63.
+    if 2 * sum(w for _, _, w in arcs) >= 2 ** 63:
+        return _dinic_py.max_flow(n, arcs, s, t)
     return _dinic.max_flow(n, arcs, s, t)
 
 

@@ -158,14 +158,18 @@ def trace_faces(g: EmbeddedGraph):
     """
     if not g.is_connected():
         raise DisconnectedGraphError("face tracing requires a connected graph")
+    return _face_orbits(g.rotations)
+
+
+def _face_orbits(rotations):
     succ = {}
-    for rot in g.rotations:
+    for rot in rotations:
         n = len(rot)
         for i, d in enumerate(rot):
             succ[twin(d)] = rot[(i + 1) % n]
     faces = []
     visited = set()
-    for rot in g.rotations:
+    for rot in rotations:
         for d in rot:
             if d in visited:
                 continue
@@ -513,11 +517,7 @@ def _rebuild_cut(g, x, chords):
         edges.append((dart_pos[2 * c], dart_pos[2 * c + 1], g.edges[e][2]))
         origin_edge_map[c] = e
 
-    out = EmbeddedGraph(len(new_rotations), tuple(edges), tuple(new_rotations))
-    try:
-        faces = out.faces()
-    except DisconnectedGraphError:
-        raise SeparatingCutError("cut disconnects the graph") from None
+    faces = _face_orbits(new_rotations)
 
     # classify faces: ordinary faces keep their projected dart set (both
     # copies of a cut edge project onto the original edge, side by side)
@@ -540,8 +540,11 @@ def _rebuild_cut(g, x, chords):
             boundary.add(f)
         else:
             final_face_map[f] = old_f
-    result = EmbeddedGraph(out.vertex_count, out.edges, out.rotations,
-                           frozenset(boundary), final_face_map, origin_edge_map)
+    result = EmbeddedGraph(len(new_rotations), tuple(edges),
+                           tuple(new_rotations), frozenset(boundary),
+                           final_face_map, origin_edge_map)
+    if not result.is_connected():
+        raise SeparatingCutError("cut disconnects the graph")
     object.__setattr__(result, "_faces", faces)     # same rotations, same faces
     object.__setattr__(result, "new_boundary_faces", fresh)
     return result

@@ -1,10 +1,11 @@
 """Merge cut trees over a common vertex set into one minimum cut tree.
 
-Inputs whose minimum cuts pairwise nest are merged by a divide-and-conquer
-over region trees: pick two unseparated vertices, take the best minimum cut
-any input offers, record it, restrict every input to each side, and recurse.
-Cuts lost during restriction cross the chosen minimum cut and therefore
-cannot themselves be minimum.
+Inputs whose minimum cuts pairwise nest are merged with Gusfield's
+Gomory-Hu algorithm ("Very simple methods for all pairs network flow
+analysis", SIAM J. Comput. 1990).  It needs one minimum s-t cut and its side
+for each of F-1 pairs, and here each is a lookup: the lightest cut any input
+holds on its s-to-t path, whose side is the leaf set under the witnessing
+node.
 
 Region trees here are rooted trees whose leaves are the host vertices;
 each internal edge carries the weight of the cut given by the leaves below
@@ -100,33 +101,14 @@ class LeafTree:
                     best = (w, node)
         return best
 
-    def split_at(self, node, down_label, up_label):
-        """Split at an internal edge: the subtree below ``node`` (plus a new
-        leaf ``down_label``) and the remainder (plus a new leaf ``up_label``),
-        in that order."""
-        below = {}
-        ch = self._shape[0]
-        keep = [node]
-        for x in keep:
-            keep.extend(ch.get(x, ()))
-        keep = set(keep)
-        for x in keep:
-            if x != node:
-                below[x] = self.parent[x]
-        below[node] = None
-        below[down_label] = (node, None)
-        above = {x: p for x, p in self.parent.items() if x not in keep}
-        above[up_label] = (self.parent[node][0], None)
-        return (LeafTree(node, below),
-                LeafTree(self.root, above))
-
     def restrict(self, keep, other_label):
         """The region tree over ``keep`` plus one contracted leaf for the
         rest, keeping every cut that does not cross the (keep, rest) split.
 
         A cut survives whether its region or its co-region nests in ``keep``;
         only genuinely crossing cuts are dropped, and those cannot be minimum
-        when the split itself is a minimum cut.
+        when the split itself is a minimum cut.  Nothing on the build path
+        calls it; the divide-and-conquer merge the tests compare against does.
         """
         leaves = self.leaves()
         keep = frozenset(keep) & leaves
@@ -269,60 +251,41 @@ def detect_crossing_minimum_cuts(leaf_trees, nodes):
 
 
 def merge_leaf_trees(leaf_trees, nodes, checksum: str = "") -> CutTree:
-    """Core divide-and-conquer merge over region trees."""
+    """Gusfield's Gomory-Hu algorithm over region trees.
+
+    Every ``s`` after the first node, in sorted order, is cut from its
+    current tree neighbour ``p[s]`` by the lightest ``min_cut(s, p[s])`` over
+    the inputs (ties go to the first input), whose side is the witnessing
+    node's leaf set or its complement, whichever holds ``s``.  When every
+    input cut is a cut of one host graph and the lightest answer over the
+    inputs is the host's minimum cut for every pair, as for the projected
+    trees of a collection, the result is a Gomory-Hu tree of the host; it is
+    the only one when minimum cuts are unique.  Raises DisconnectedGraphError
+    when no input separates a pair.
+    """
     nodes = sorted(nodes)
-    if len(nodes) == 1:
-        return CutTree((nodes[0],), (), checksum)
-    groups = [list(nodes)]
-    gtrees = [list(leaf_trees)]
-    tree_edges = []
-    while True:
-        gi = next((i for i, g in enumerate(groups) if len(g) > 1), None)
-        if gi is None:
-            break
-        members = groups[gi]
-        rtrees = gtrees[gi]
-        a, b = members[0], members[1]
+    p = dict.fromkeys(nodes, nodes[0])
+    weight = {}
+    for s in nodes[1:]:
+        t = p[s]
         best = None
-        for idx, rt in enumerate(rtrees):
-            res = rt.min_cut(a, b)
+        for lt in leaf_trees:
+            res = lt.min_cut(s, t)
             if res is not None and (best is None or res[0] < best[0]):
-                best = (res[0], idx, res[1])
+                best = (res[0], lt, res[1])
         if best is None:
-            raise DisconnectedGraphError(
-                f"no input separates {a} from {b}")
-        w, widx, wnode = best
-        side_a = rtrees[widx].leaves_under(wnode)
-        all_leaves = rtrees[widx].leaves()
-        k = len(tree_edges)
-        down, up = ("cut", k, "down"), ("cut", k, "up")
-        new_a, new_b = [], []
-        for idx, rt in enumerate(rtrees):
-            if idx == widx:
-                ra, rb = rt.split_at(wnode, down, up)
-            else:
-                ra = rt.restrict(side_a, down)
-                rb = rt.restrict(all_leaves - side_a, up)
-            new_a.append(ra)
-            new_b.append(rb)
-        nb = len(groups)
-        groups[gi] = [v for v in members if v in side_a]
-        gtrees[gi] = new_a
-        groups.append([v for v in members if v not in side_a])
-        gtrees.append(new_b)
-        for j, (x, y, wj) in enumerate(tree_edges):
-            if gi not in (x, y):
-                continue
-            ph_down, ph_up = ("cut", j, "down"), ("cut", j, "up")
-            ph = ph_down if ph_down in all_leaves else ph_up
-            if ph not in side_a:
-                tree_edges[j] = (nb if x == gi else x,
-                                 nb if y == gi else y, wj)
-        tree_edges.append((gi, nb, w))
-    label = {i: grp[0] for i, grp in enumerate(groups)}
-    out = tuple(sorted((min(label[x], label[y]), max(label[x], label[y]), w)
-                       for x, y, w in tree_edges))
-    return CutTree(tuple(nodes), out, checksum)
+            raise DisconnectedGraphError(f"no input separates {s} from {t}")
+        weight[s], winner, node = best
+        under = winner.leaves_under(node)
+        s_under = s in under        # the side of s is under or its complement
+        for u in nodes:
+            if u != s and p[u] == t and (u in under) == s_under:
+                p[u] = s
+        if (p[t] in under) == s_under:
+            p[s], p[t] = p[t], s
+            weight[s], weight[t] = weight[t], weight[s]
+    return CutTree(tuple(nodes), tuple(sorted(
+        (min(s, p[s]), max(s, p[s]), weight[s]) for s in nodes[1:])), checksum)
 
 
 def distinct_trees(leaf_trees):

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from surfcut import cli
-from surfcut.cuttree import CutTree
-from surfcut.embed import parse_graph
+from surfcut.cuttree import CutTree, validate_cut_tree
+from surfcut.embed import dual, parse_graph
 from surfcut.errors import CrossingCutsError
 from surfcut.oracle import min_face_cut
 from surfcut.query import build_index
@@ -109,6 +109,17 @@ class TestBuildQuery:
         assert run(["--seed", "3", "verify", str(graph_path)]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "pass" in out
+
+    def test_large_weight_planar_build(self, tmp_path):
+        """Perturbed weights near 2**42 give max-flow totals past 2**63."""
+        graph_path = tmp_path / "big.graph"
+        assert run(["--seed", "3", "gen", "planar", "--size", "8",
+                    "--max-weight", "4398046511104",
+                    "-o", str(graph_path)]) == 0
+        g = parse_graph(graph_path.read_text())
+        tree = cli.build_tree(g, 1, 2)
+        d = dual(g)
+        assert validate_cut_tree(tree, d.vertex_count, list(d.edges)) == []
 
     def test_artifact_holds_only_tree_and_seed(self, torus_file, tmp_path):
         tree_path = tmp_path / "tree.json"

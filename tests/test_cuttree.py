@@ -37,6 +37,11 @@ class TestMaxFlow:
         value, _ = max_flow_min_cut(4, edges, 0, 2)
         assert value == 2
 
+    def test_capacities_past_int64(self):
+        value, side = max_flow_min_cut(2, [(0, 1, 2 ** 62)] * 3, 0, 1)
+        assert value == 3 * 2 ** 62
+        assert side == {0}
+
     def test_same_terminal_rejected(self):
         with pytest.raises(ValueError):
             max_flow_min_cut(2, [(0, 1, 1)], 0, 0)

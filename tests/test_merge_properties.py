@@ -1,17 +1,21 @@
 """Property tests for the region-tree merge: cached leaf sets, duplicate
-inputs, and the largest-first forms of region-tree construction and of the
-crossing check against the scans they replaced."""
+inputs, Gusfield's merge against the divide-and-conquer merge it replaced,
+and the largest-first forms of region-tree construction and of the crossing
+check against the scans they replaced."""
 
 import itertools
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from surfcut.cuttree import CutTree  # noqa: E402
-from surfcut.errors import CrossingCutsError  # noqa: E402
+from surfcut.errors import (  # noqa: E402
+    CrossingCutsError,
+    DisconnectedGraphError,
+)
 from surfcut.merge import (  # noqa: E402
     LeafTree,
     _all_pairs_query,
@@ -22,6 +26,7 @@ from surfcut.merge import (  # noqa: E402
     leaf_tree_from_cuts,
     merge_cut_trees,
     merge_leaf_trees,
+    project_member_tree,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -126,6 +131,132 @@ def scan_leaf_tree_from_cuts(nodes, cuts):
     return LeafTree(root, parent)
 
 
+def split_at(lt, node, down_label, up_label):
+    """Split a region tree at an internal edge: the subtree below ``node``
+    (plus a new leaf ``down_label``) and the remainder (plus a new leaf
+    ``up_label``), in that order."""
+    below = {}
+    ch = lt._shape[0]
+    keep = [node]
+    for x in keep:
+        keep.extend(ch.get(x, ()))
+    keep = set(keep)
+    for x in keep:
+        if x != node:
+            below[x] = lt.parent[x]
+    below[node] = None
+    below[down_label] = (node, None)
+    above = {x: p for x, p in lt.parent.items() if x not in keep}
+    above[up_label] = (lt.parent[node][0], None)
+    return LeafTree(node, below), LeafTree(lt.root, above)
+
+
+def dc_merge_leaf_trees(leaf_trees, nodes, checksum=""):
+    """merge_leaf_trees as it was before Gusfield's algorithm: a
+    divide-and-conquer that cuts the first unseparated pair of a group by the
+    best minimum cut any input offers, then splits the winning input and
+    restricts every other one to each side."""
+    nodes = sorted(nodes)
+    if len(nodes) == 1:
+        return CutTree((nodes[0],), (), checksum)
+    groups = [list(nodes)]
+    gtrees = [list(leaf_trees)]
+    tree_edges = []
+    while True:
+        gi = next((i for i, g in enumerate(groups) if len(g) > 1), None)
+        if gi is None:
+            break
+        members = groups[gi]
+        rtrees = gtrees[gi]
+        a, b = members[0], members[1]
+        best = None
+        for idx, rt in enumerate(rtrees):
+            res = rt.min_cut(a, b)
+            if res is not None and (best is None or res[0] < best[0]):
+                best = (res[0], idx, res[1])
+        if best is None:
+            raise DisconnectedGraphError(
+                f"no input separates {a} from {b}")
+        w, widx, wnode = best
+        side_a = rtrees[widx].leaves_under(wnode)
+        all_leaves = rtrees[widx].leaves()
+        k = len(tree_edges)
+        down, up = ("cut", k, "down"), ("cut", k, "up")
+        new_a, new_b = [], []
+        for idx, rt in enumerate(rtrees):
+            if idx == widx:
+                ra, rb = split_at(rt, wnode, down, up)
+            else:
+                ra = rt.restrict(side_a, down)
+                rb = rt.restrict(all_leaves - side_a, up)
+            new_a.append(ra)
+            new_b.append(rb)
+        nb = len(groups)
+        groups[gi] = [v for v in members if v in side_a]
+        gtrees[gi] = new_a
+        groups.append([v for v in members if v not in side_a])
+        gtrees.append(new_b)
+        for j, (x, y, wj) in enumerate(tree_edges):
+            if gi not in (x, y):
+                continue
+            ph_down, ph_up = ("cut", j, "down"), ("cut", j, "up")
+            ph = ph_down if ph_down in all_leaves else ph_up
+            if ph not in side_a:
+                tree_edges[j] = (nb if x == gi else x,
+                                 nb if y == gi else y, wj)
+        tree_edges.append((gi, nb, w))
+    label = {i: grp[0] for i, grp in enumerate(groups)}
+    out = tuple(sorted((min(label[x], label[y]), max(label[x], label[y]), w)
+                       for x, y, w in tree_edges))
+    return CutTree(tuple(nodes), out, checksum)
+
+
+def perturbed(t, n):
+    """``t`` with every cut's weight made unique to its side over the host
+    nodes ``0..n-1``, as the weight perturbation makes the minimum cuts of a
+    host graph unique."""
+    edges = []
+    for (u, v, w), part in zip(t.edges, t.bipartitions()):
+        side = {x for x in part if x < n}
+        if 0 in side:
+            side = set(range(n)) - side
+        edges.append((u, v, (w << n) + sum(1 << x for x in side)))
+    return CutTree(t.nodes, tuple(edges))
+
+
+@st.composite
+def merge_inputs(draw):
+    """Region trees over host nodes ``0..n-1`` and whether they are
+    perturbed: complete trees of cut trees, or projections of cut trees over
+    up to two more (boundary) nodes."""
+    n = draw(st.integers(2, 8))
+    project = draw(st.booleans())
+    perturb = draw(st.booleans())
+    lts = []
+    for _ in range(draw(st.integers(1, 4))):
+        extra = draw(st.integers(0, 2)) if project else 0
+        t = draw(cut_trees(n + extra, max_weight=4))
+        if perturb:
+            t = perturbed(t, n)
+        lts.append(project_member_tree(t, {v: v for v in range(n)})
+                   if project else from_cut_tree(t))
+    return lts, list(range(n)), perturb
+
+
+def is_gomory_hu_tree(tree, leaf_trees, nodes):
+    """Every edge ``(u, v, w)`` of ``tree`` has ``w`` equal to the best
+    answer over the inputs for ``(u, v)``, and its side is a cut some input
+    holds at weight ``w``; path minimums then answer every pair."""
+    table = _all_pairs_query(leaf_trees, nodes)
+    universe = frozenset(nodes)
+    held = set().union(*(lt.cuts() for lt in leaf_trees))
+    for (u, v, w), part in zip(tree.edges, tree.bipartitions()):
+        side = universe - part if nodes[0] in part else part
+        if (side, w) not in held or table[(min(u, v), max(u, v))] != w:
+            return False
+    return all(tree.path_min(x, y) == w for (x, y), w in table.items())
+
+
 def shape(lt):
     """Each node as (its leaf set, its weight, its parent's leaf set)."""
     return sorted(((dfs_leaves(lt, x), p[1], dfs_leaves(lt, p[0]))
@@ -160,8 +291,8 @@ def test_cached_leaf_sets_match_dfs(t, data):
     weighted = [x for x, p in lt.parent.items()
                 if p is not None and p[1] is not None]
     if weighted:
-        trees.extend(lt.split_at(data.draw(st.sampled_from(weighted)),
-                                 "down", "up"))
+        trees.extend(split_at(lt, data.draw(st.sampled_from(weighted)),
+                              "down", "up"))
     for tr in trees:
         ch = children(tr)
         assert tr.leaves() == frozenset(x for x in tr.parent if x not in ch)
@@ -206,3 +337,49 @@ def test_laminarity_check_matches_all_pairs_scan(trees):
             detect_crossing_minimum_cuts(lts, nodes)
     else:
         detect_crossing_minimum_cuts(lts, nodes)
+
+
+# Tied inputs without crossing minimum cuts that have more than one
+# Gomory-Hu tree: Gusfield's merge and the divide-and-conquer merge differ in
+# where node 4 hangs.
+TWO_GOMORY_HU_TREES = [
+    CutTree(tuple(range(7)), ((0, 1, 1), (1, 2, 2), (0, 3, 1), (1, 4, 1),
+                              (1, 5, 1), (1, 6, 1))),
+    CutTree(tuple(range(7)), ((0, 2, 1), (2, 3, 2), (3, 4, 1), (4, 1, 1),
+                              (1, 5, 1), (5, 6, 1))),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@example(([from_cut_tree(t) for t in TWO_GOMORY_HU_TREES], list(range(7)),
+          False))
+@given(merge_inputs())
+def test_gusfield_merge_matches_divide_and_conquer(inputs):
+    """On inputs that pass the crossing check, Gusfield's merge builds the
+    divide-and-conquer merge's tree when the inputs are perturbed.  Tied
+    inputs may have several Gomory-Hu trees, and the two merges can pick
+    different ones (``TWO_GOMORY_HU_TREES`` do), so there both must be
+    Gomory-Hu trees of the inputs."""
+    lts, nodes, perturb = inputs
+    try:
+        detect_crossing_minimum_cuts(lts, nodes)
+    except CrossingCutsError:
+        assume(False)
+    try:
+        want = dc_merge_leaf_trees(lts, nodes)
+    except DisconnectedGraphError:
+        with pytest.raises(DisconnectedGraphError):
+            merge_leaf_trees(lts, nodes)
+        return
+    got = merge_leaf_trees(lts, nodes)
+    hypothesis.event(f"perturbed={perturb}, same tree={got == want}")
+    if perturb:
+        assert got == want
+    assert is_gomory_hu_tree(got, lts, nodes)
+    assert is_gomory_hu_tree(want, lts, nodes)
+
+
+def test_unseparated_pair_raises():
+    lt = leaf_tree_from_cuts([0, 1, 2], {frozenset({2}): 3})
+    with pytest.raises(DisconnectedGraphError, match="no input separates"):
+        merge_leaf_trees([lt], [0, 1, 2])
