@@ -3,9 +3,9 @@
 ``build`` writes only the cut tree and the seed; ``query`` rebuilds the LCA
 index from the stored tree and answers each pair line in O(1).
 
-Exit codes: 0 success, 2 input failure (a malformed graph, or a bad query
-pair line), 3 genus above the configured maximum, 4 crossing minimum cuts
-during merge, 5 too many edges for the weight perturbation.
+Exit codes: 0 success, 2 input failure (a malformed graph or artifact, or a
+bad query pair line), 3 genus above the configured maximum, 4 crossing
+minimum cuts during merge, 5 too many edges for the weight perturbation.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ def cmd_build(args):
 
 def cmd_query(args):
     payload = json.loads(_read(args.tree))
+    if not isinstance(payload, dict) or "tree" not in payload:
+        raise QueryInputError(f'{args.tree}: artifact has no "tree"')
     tree = CutTree.from_json(json.dumps(payload["tree"]))
     idx = build_index(tree)
     results = []

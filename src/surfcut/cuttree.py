@@ -1,4 +1,4 @@
-"""Exact max-flow, Gomory-Hu cut trees, region trees, planar specialization.
+"""Exact max-flow, Gomory-Hu cut trees and the dual cut tree of a planar graph.
 
 Graphs here are plain weighted edge lists over integer vertex ids; the
 embedded structure is only needed upstream.  The max-flow kernel is the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import _dinic_py
 from .embed import EmbeddedGraph, dual
-from .errors import DisconnectedGraphError
+from .errors import QueryInputError
 
 if os.environ.get("SURFCUT_PURE"):
     _dinic = _dinic_py
@@ -79,30 +79,6 @@ class CutTree:
                     stack.append((v, w if m is None else min(m, w)))
         raise KeyError(f"{y} not in tree")
 
-    def path_min_edge(self, x, y):
-        """Index of the minimum-weight edge on the x-to-y tree path."""
-        adj = self.adjacency()
-        parent = {x: None}
-        stack = [x]
-        while stack:
-            u = stack.pop()
-            if u == y:
-                break
-            for v, w, i in adj[u]:
-                if v not in parent:
-                    parent[v] = (u, w, i)
-                    stack.append(v)
-        best = None
-        v = y
-        while parent[v] is not None:
-            u, w, i = parent[v]
-            if best is None or w < best[0]:
-                best = (w, i)
-            v = u
-        if best is None:
-            raise KeyError("trivial path")
-        return best[1]
-
     def bipartition(self, edge_index):
         """Node set on the first-endpoint side of the given tree edge."""
         u, v, _ = self.edges[edge_index]
@@ -149,7 +125,39 @@ class CutTree:
 
     @classmethod
     def from_json(cls, text: str) -> "CutTree":
+        """Parse ``to_json`` output.  Raises QueryInputError unless the
+        payload holds distinct integer nodes and integer ``[u, v, w]`` edges
+        that form a spanning tree over them."""
         payload = json.loads(text)
+        if not (isinstance(payload, dict)
+                and isinstance(payload.get("nodes"), list)
+                and isinstance(payload.get("edges"), list)):
+            raise QueryInputError(
+                'cut tree must be an object with "nodes" and "edges" lists')
+        comp = {v: v for v in payload["nodes"] if type(v) is int}
+        if len(comp) != len(payload["nodes"]):
+            raise QueryInputError("cut tree nodes must be distinct integers")
+
+        def find(v):
+            while comp[v] != v:
+                comp[v] = comp[comp[v]]
+                v = comp[v]
+            return v
+
+        for e in payload["edges"]:
+            if not (isinstance(e, list) and len(e) == 3
+                    and all(type(x) is int for x in e)):
+                raise QueryInputError(
+                    f"cut tree edge {e!r} is not an integer [u, v, w]")
+            if e[0] not in comp or e[1] not in comp:
+                raise QueryInputError(
+                    f"cut tree edge {e!r} names a node the tree does not hold")
+            a, b = find(e[0]), find(e[1])
+            if a == b:
+                raise QueryInputError(f"cut tree edge {e!r} closes a cycle")
+            comp[a] = b
+        if len(payload["edges"]) != len(comp) - 1:
+            raise QueryInputError("cut tree edges do not span its nodes")
         return cls(tuple(payload["nodes"]),
                    tuple((u, v, w) for u, v, w in payload["edges"]),
                    payload.get("host_checksum", ""))
@@ -159,112 +167,87 @@ def host_checksum(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def gomory_hu(n, edges, vertices=None, checksum="") -> CutTree:
-    """Gomory-Hu tree by the classic contraction scheme.
+def gomory_hu(n, edges, vertices=None, checksum="", terminals=None) -> CutTree:
+    """Gomory-Hu tree over ``terminals`` (default: every vertex) by the
+    contraction scheme of Gomory and Hu ("Multi-terminal network flows",
+    1961).
 
-    ``vertices`` relabels node ids in the output (defaults to range(n)).
-    Exactly n-1 max-flow calls; intermediate cuts are nested by construction.
+    The vertices are kept in groups joined by a tree.  Each step takes the
+    lowest-index group holding two or more terminals, contracts every subtree
+    hanging off it to one vertex, and splits it by a minimum cut between its
+    two smallest terminals.  So exactly |T|-1 max-flow calls are made, the
+    cuts are nested by construction, and each finished group is labelled by
+    its one terminal; the other vertices only carry flow.  ``vertices``
+    relabels node ids in the output (defaults to range(n)).
     """
     if vertices is None:
         vertices = tuple(range(n))
-    if n == 1:
-        return CutTree((vertices[0],), (), checksum)
-    # tree over groups of vertices
-    groups = [sorted(range(n))]
-    tree_edges = []                      # (group_i, group_j, weight)
+    terms = [sorted(set(range(n) if terminals is None else terminals))]
+    members = [list(range(n))]
+    owner = [0] * n                 # vertex -> group
+    tree = [{}]                     # group -> {neighbouring group: weight}
+    gi = 0
     while True:
-        gi = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
-        if gi is None:
+        # groups below gi are final: only gi splits, and new groups go last
+        while gi < len(terms) and len(terms[gi]) < 2:
+            gi += 1
+        if gi == len(terms):
             break
-        s, t = groups[gi][0], groups[gi][1]
-        cid, nc, group_cid = _contract(n, groups, tree_edges, gi)
-        cedges = {}
+        group = members[gi]
+        local = {v: i for i, v in enumerate(group)}
+        comp = [None] * len(members)    # group -> contracted id of its subtree
+        nc = len(group)
+        for nb in tree[gi]:
+            comp[nb] = nc
+            stack = [nb]
+            while stack:
+                for y in tree[stack.pop()]:
+                    if y != gi and comp[y] is None:
+                        comp[y] = nc
+                        stack.append(y)
+            nc += 1
+        caps = {}
         for u, v, w in edges:
-            a, b = cid[u], cid[v]
-            if a == b:
-                continue
-            key = (a, b) if a < b else (b, a)
-            cedges[key] = cedges.get(key, 0) + w
+            a, b = comp[owner[u]], comp[owner[v]]
+            if a is None:
+                a = local[u]
+            if b is None:
+                b = local[v]
+            if a != b:
+                key = (a, b) if a < b else (b, a)
+                caps[key] = caps.get(key, 0) + w
+        s, t = terms[gi][0], terms[gi][1]
         value, side = max_flow_min_cut(
-            nc, [(a, b, w) for (a, b), w in cedges.items()],
-            cid[s], cid[t])
-        in_a = [v for v in groups[gi] if cid[v] in side]
-        in_b = [v for v in groups[gi] if cid[v] not in side]
-        if not in_a or not in_b:
-            raise DisconnectedGraphError("cut failed to split the group")
-        groups[gi] = in_a
-        bi = len(groups)
-        groups.append(in_b)
-        moved = []
-        for k, (x, y, w) in enumerate(tree_edges):
-            other = y if x == gi else (x if y == gi else None)
-            if other is None:
-                continue
-            if group_cid[other] not in side:
-                moved.append(k)
-        for k in moved:
-            x, y, w = tree_edges[k]
-            other = y if x == gi else x
-            tree_edges[k] = (bi, other, w)
-        tree_edges.append((gi, bi, value))
-    label = {i: vertices[grp[0]] for i, grp in enumerate(groups)}
-    out = tuple(sorted((min(label[a], label[b]), max(label[a], label[b]), w)
-                       for a, b, w in tree_edges))
-    return CutTree(tuple(sorted(vertices)), out, checksum)
-
-
-def _contract(n, groups, tree_edges, gi):
-    """Map each vertex to a contracted id: members of group gi keep their own
-    ids (0..k-1 within the contracted graph); each subtree hanging off gi in
-    the current tree becomes one contracted vertex.
-
-    Returns (vertex -> contracted id, contracted vertex count,
-    group -> contracted id)."""
-    adj = {i: [] for i in range(len(groups))}
-    for a, b, _ in tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    comp = {}               # group index -> component id (contracted)
-    members = groups[gi]
-    local = {v: i for i, v in enumerate(members)}
-    nxt = len(members)
-    for start in sorted(adj):
-        if start == gi or start in comp:
-            continue
-        # flood this side without passing through gi
-        stack = [start]
-        found = [start]
-        seen = {start, gi}
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    found.append(y)
-                    stack.append(y)
-        for x in found:
-            comp[x] = nxt
-        nxt += 1
-    cid = {}
-    for i, grp in enumerate(groups):
-        for v in grp:
-            cid[v] = local[v] if i == gi else comp[i]
-    group_cid = {}
-    for i in range(len(groups)):
-        group_cid[i] = local[groups[i][0]] if i == gi else comp[i]
-    return cid, nxt, group_cid
-
-
-def embedded_host_edges(g: EmbeddedGraph):
-    return [(u, v, w) for u, v, w in g.edges]
+            nc, [(a, b, w) for (a, b), w in caps.items()], local[s], local[t])
+        bi = len(members)
+        members[gi] = [v for i, v in enumerate(group) if i in side]
+        members.append([v for i, v in enumerate(group) if i not in side])
+        for v in members[bi]:
+            owner[v] = bi
+        terms.append([x for x in terms[gi] if owner[x] == bi])
+        terms[gi] = [x for x in terms[gi] if owner[x] == gi]
+        moved = {nb: w for nb, w in tree[gi].items() if comp[nb] not in side}
+        for nb, w in moved.items():
+            del tree[gi][nb]
+            del tree[nb][gi]
+            tree[nb][bi] = w
+        moved[gi] = tree[gi][bi] = value
+        tree.append(moved)
+    label = [vertices[ts[0]] for ts in terms]
+    out = sorted((min(label[a], label[b]), max(label[a], label[b]), w)
+                 for a, nbs in enumerate(tree) for b, w in nbs.items() if a < b)
+    return CutTree(tuple(sorted(label)), tuple(out), checksum)
 
 
 def dual_cut_tree(g: EmbeddedGraph, annotation_weight: int = 0,
                   checksum: str = "") -> CutTree:
-    """Cut tree over the faces of ``g``: Gomory-Hu on the dual graph, then a
-    uniform annotation offset added to every tree edge."""
+    """Cut tree over the ordinary faces of ``g``: Gomory-Hu on the dual graph
+    with those faces as terminals, then a uniform annotation offset added to
+    every tree edge.  Boundary faces only carry flow, so a graph with F
+    ordinary faces costs F-1 max-flows."""
     d = dual(g)
-    t = gomory_hu(d.vertex_count, embedded_host_edges(d), checksum=checksum)
+    t = gomory_hu(d.vertex_count, d.edges, checksum=checksum,
+                  terminals=g.ordinary_faces())
     if annotation_weight:
         t = t.with_weights([w + annotation_weight for _, _, w in t.edges])
     return t
@@ -276,8 +259,7 @@ def validate_cut_tree(t: CutTree, n, edges, pair_check=True):
     if sorted(t.nodes) != sorted(set(t.nodes)) or len(t.nodes) != n:
         report.append(f"node set mismatch: {len(t.nodes)} nodes for host n={n}")
         return report
-    for i, (u, v, w) in enumerate(t.edges):
-        side = t.bipartition(i)
+    for (u, v, w), side in zip(t.edges, t.bipartitions()):
         cut = sum(wt for a, b, wt in edges if (a in side) != (b in side))
         if cut != w:
             report.append(f"edge {u}-{v}: tree weight {w} but cut weight {cut}")

@@ -10,7 +10,8 @@ class GraphFormatError(SurfcutError):
 
 
 class QueryInputError(SurfcutError):
-    """Malformed query pair line, or a face the cut tree does not hold."""
+    """Malformed query pair line or artifact, or a face the cut tree does not
+    hold."""
 
 
 class DisconnectedGraphError(SurfcutError):

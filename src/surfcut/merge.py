@@ -182,8 +182,9 @@ def project_member_tree(t: CutTree, face_map) -> LeafTree:
     """Project a cut tree over a member's faces onto the original face set.
 
     Each tree edge's bipartition is restricted to the faces ``face_map``
-    knows about (boundary faces drop out); trivial sides vanish and duplicate
-    sides keep their lightest weight.
+    knows about (a member's tree spans only those, its ordinary faces; other
+    nodes drop out); trivial sides vanish and duplicate sides keep their
+    lightest weight.
     """
     nodes = sorted(set(face_map.values()))
     full = frozenset(nodes)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cuttree import max_flow_min_cut
 from .embed import (
     EmbeddedGraph,
     OpenCurve,
     boundary_of_faces,
     cut_along_curves,
+    dual,
 )
 from .errors import (
     CurveShapeError,
@@ -228,13 +230,17 @@ def collection_min_cut(collection: Collection, trees, a: int, b: int):
     return best
 
 
-def lifted_witness(member: AnnotatedPlanar, tree, a: int, b: int):
+def lifted_witness(member: AnnotatedPlanar, a: int, b: int):
     """The member's minimum separating subgraph for original faces (a, b),
     lifted back to an edge set of the original graph (member cut edges plus
-    all annotation cycles)."""
+    all annotation cycles).
+
+    The face side is the residual source side of one max-flow on the
+    member's dual, which is the unique minimum cut under the perturbation.
+    """
     inv = member.face_preimage()
-    edge = tree.path_min_edge(inv[a], inv[b])
-    side = tree.bipartition(edge)
+    d = dual(member.graph)
+    _, side = max_flow_min_cut(d.vertex_count, d.edges, inv[a], inv[b])
     cut = boundary_of_faces(side, member.graph)
     lifted = {member.edge_map[e] for e in cut}
     for cyc in member.annotation:

@@ -114,7 +114,7 @@ def test_criterion_3_torus_collections_match_dual_oracle(torus_instances):
         for a, b in itertools.combinations(faces, 2):
             val, mi = collection_min_cut(coll, trees, a, b)
             assert weights.restore(val) == min_face_cut(g, a, b)[0]
-            lifted = lifted_witness(coll.members[mi], trees[mi], a, b)
+            lifted = lifted_witness(coll.members[mi], a, b)
             assert separates_faces(lifted, pg, a, b)
             pairs_checked += 1
     dt = build_time + time.perf_counter() - t0

@@ -54,6 +54,25 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("artifact, message", [
+        ("{}", 'artifact has no "tree"'),
+        ("[]", 'artifact has no "tree"'),
+        ('{"tree": {"nodes": [0, 1], "edges": [[0, 2, 3]]}}',
+         "names a node the tree does not hold"),
+        ('{"tree": {"nodes": [0, 1, 2], "edges": [[0, 1, 3], [0, 1, 4]]}}',
+         "closes a cycle"),
+    ])
+    def test_malformed_artifact(self, tmp_path, capsys, artifact, message):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(artifact)
+        pairs_path = tmp_path / "pairs.txt"
+        pairs_path.write_text("0 1\n")
+        assert run(["query", str(tree_path), str(pairs_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_instance_too_large(self, tmp_path, capsys):
         path = tmp_path / "p200.graph"
         assert run(["gen", "planar", "--size", "200", "-o", str(path)]) == 0

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surfcut import gen, weights
+from surfcut import cuttree, gen, weights
 from surfcut import _dinic_py
 from surfcut.cuttree import (
     CutTree,
@@ -11,6 +14,7 @@ from surfcut.cuttree import (
     max_flow_min_cut,
     validate_cut_tree,
 )
+from surfcut.errors import DisconnectedGraphError
 from surfcut.oracle import (
     all_pairs_min_cut,
     brute_force_min_cut,
@@ -121,6 +125,143 @@ class TestGomoryHu:
         t = gomory_hu(3, edges)
         assert t.path_min(0, 1) == 5
         assert t.path_min(0, 2) == 4
+
+
+def rebuilt_gomory_hu(n, edges, vertices=None, checksum=""):
+    """The contraction Gomory-Hu tree that rebuilt the whole contraction at
+    every step, kept as the oracle for the incremental one."""
+    if vertices is None:
+        vertices = tuple(range(n))
+    if n == 1:
+        return CutTree((vertices[0],), (), checksum)
+    groups = [sorted(range(n))]
+    tree_edges = []                      # (group_i, group_j, weight)
+    while True:
+        gi = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
+        if gi is None:
+            break
+        s, t = groups[gi][0], groups[gi][1]
+        cid, nc, group_cid = _contract(n, groups, tree_edges, gi)
+        cedges = {}
+        for u, v, w in edges:
+            a, b = cid[u], cid[v]
+            if a == b:
+                continue
+            key = (a, b) if a < b else (b, a)
+            cedges[key] = cedges.get(key, 0) + w
+        value, side = max_flow_min_cut(
+            nc, [(a, b, w) for (a, b), w in cedges.items()],
+            cid[s], cid[t])
+        in_a = [v for v in groups[gi] if cid[v] in side]
+        in_b = [v for v in groups[gi] if cid[v] not in side]
+        if not in_a or not in_b:
+            raise DisconnectedGraphError("cut failed to split the group")
+        groups[gi] = in_a
+        bi = len(groups)
+        groups.append(in_b)
+        moved = []
+        for k, (x, y, w) in enumerate(tree_edges):
+            other = y if x == gi else (x if y == gi else None)
+            if other is None:
+                continue
+            if group_cid[other] not in side:
+                moved.append(k)
+        for k in moved:
+            x, y, w = tree_edges[k]
+            other = y if x == gi else x
+            tree_edges[k] = (bi, other, w)
+        tree_edges.append((gi, bi, value))
+    label = {i: vertices[grp[0]] for i, grp in enumerate(groups)}
+    out = tuple(sorted((min(label[a], label[b]), max(label[a], label[b]), w)
+                       for a, b, w in tree_edges))
+    return CutTree(tuple(sorted(vertices)), out, checksum)
+
+
+def _contract(n, groups, tree_edges, gi):
+    """Map each vertex to a contracted id: members of group gi keep their own
+    ids (0..k-1 within the contracted graph); each subtree hanging off gi in
+    the current tree becomes one contracted vertex.
+
+    Returns (vertex -> contracted id, contracted vertex count,
+    group -> contracted id)."""
+    adj = {i: [] for i in range(len(groups))}
+    for a, b, _ in tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    comp = {}               # group index -> component id (contracted)
+    members = groups[gi]
+    local = {v: i for i, v in enumerate(members)}
+    nxt = len(members)
+    for start in sorted(adj):
+        if start == gi or start in comp:
+            continue
+        # flood this side without passing through gi
+        stack = [start]
+        found = [start]
+        seen = {start, gi}
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+                    stack.append(y)
+        for x in found:
+            comp[x] = nxt
+        nxt += 1
+    cid = {}
+    for i, grp in enumerate(groups):
+        for v in grp:
+            cid[v] = local[v] if i == gi else comp[i]
+    group_cid = {}
+    for i in range(len(groups)):
+        group_cid[i] = local[groups[i][0]] if i == gi else comp[i]
+    return cid, nxt, group_cid
+
+
+@st.composite
+def multigraphs(draw):
+    """A multigraph on 1..9 vertices with small weights, so ties and zero
+    weights are common; isolated vertices and several components occur."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3)),
+                          max_size=18))
+    return n, [(u, v, w) for u, v, w in edges if u != v]
+
+
+class TestIncrementalGomoryHu:
+    @settings(max_examples=400, deadline=None)
+    @given(multigraphs())
+    def test_matches_rebuilt_contraction(self, graph):
+        n, edges = graph
+        vertices = tuple(10 * v + 3 for v in range(n))
+        try:
+            want = rebuilt_gomory_hu(n, edges, vertices)
+        except DisconnectedGraphError:
+            with pytest.raises(DisconnectedGraphError):
+                gomory_hu(n, edges, vertices)
+            return
+        assert gomory_hu(n, edges, vertices) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.data())
+    def test_terminal_subset(self, graph, data):
+        n, edges = graph
+        terms = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return max_flow_min_cut(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cuttree, "max_flow_min_cut", counted)
+            t = gomory_hu(n, edges, terminals=terms)
+        assert len(calls) == len(terms) - 1
+        assert t.nodes == tuple(sorted(terms))
+        for x, y in itertools.combinations(sorted(terms), 2):
+            assert t.path_min(x, y) == max_flow_min_cut(n, edges, x, y)[0]
 
 
 class TestDualCutTree:

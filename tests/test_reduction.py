@@ -159,8 +159,7 @@ class TestMemberInvariants:
         for i, a in enumerate(faces):
             for b in faces[i + 1:]:
                 _, mi = collection_min_cut(self.coll, self.trees, a, b)
-                lifted = lifted_witness(self.coll.members[mi],
-                                        self.trees[mi], a, b)
+                lifted = lifted_witness(self.coll.members[mi], a, b)
                 assert separates_faces(lifted, self.g, a, b)
 
     def test_winner_matches_unique_optimum(self):
@@ -176,7 +175,7 @@ class TestMemberInvariants:
                 s, want = min_separating_subgraph_exhaustive(self.g, a, b)
                 assert val == want
                 member = self.coll.members[mi]
-                lifted = lifted_witness(member, self.trees[mi], a, b)
+                lifted = lifted_witness(member, a, b)
                 assert lifted == s
                 for cut in member.cuts:
                     kinds.add(cut[0])
