@@ -40,7 +40,7 @@ def max_flow_min_cut(n, edges, s, t):
     # The compiled kernel holds capacities in signed 64-bit ints.  A residual
     # capacity is at most twice an edge's and the flow at most the total, so
     # twice the total must stay below 2**63.
-    if 2 * sum(w for _, _, w in arcs) >= 2 ** 63:
+    if _dinic is _dinic_py or 2 * sum(w for _, _, w in arcs) >= 2 ** 63:
         return _dinic_py.max_flow(n, arcs, s, t)
     return _dinic.max_flow(n, arcs, s, t)
 

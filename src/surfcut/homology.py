@@ -154,19 +154,20 @@ def _cover_moves(g: EmbeddedGraph, signatures, classes: int):
             for d in range(len(tail))]
 
 
-def _search(moves, classes, heap, dist, back, goal, pending):
+def _search(moves, classes, heap, dist, back, goal, pending, lowest=0):
     """Non-backtracking Dijkstra over (dart, class) states, from the states on
     ``heap``, serving every class of ``pending`` (class -> weight cap) at once.
 
     A class leaves once a popped weight reaches its cap; otherwise its result
     is the first popped state of that class whose dart is in ``goal``.  Goal
     states are expanded like any other, since other classes' walks may pass
-    through them.  Consumes ``pending``; returns
-    ``{class: (weight, state index)}``.
+    through them.  No step enters an edge with id below ``lowest``.  Consumes
+    ``pending``; returns ``{class: (weight, state index)}``.
     """
     pop, push = heapq.heappop, heapq.heappush
     found = {}
     floor = min(pending.values(), default=INF)
+    low = 2 * lowest
     while heap and pending:
         w, d, s = pop(heap)
         i = d * classes + s
@@ -182,6 +183,8 @@ def _search(moves, classes, heap, dist, back, goal, pending):
             del pending[s]
             floor = min(pending.values(), default=INF)
         for base, d2, w2, s2 in moves[d]:
+            if d2 < low:
+                continue
             s2 ^= s
             j = base + s2
             nw = w + w2
@@ -220,8 +223,12 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
     For each start edge e0, in id order, one non-backtracking Dijkstra in the
     homology cover finds the cheapest closed walk starting with e0 for every
     class at once; a class leaves that search once it cannot beat its best
-    walk from earlier start edges.  A self-loop e0 is its own walk in its own
-    class.  Each winning walk is uncrossed so cut_along can consume it.
+    walk from earlier start edges.  The search from e0 enters no edge below
+    e0: the cheapest walk of a class through such an edge e' was already
+    found, as itself or as its reversal rotated to start at e', when e' was
+    the start edge, and a later start only wins with a strictly lighter walk.
+    A self-loop e0 is its own walk in its own class.  Each winning walk is
+    uncrossed so cut_along can consume it.
 
     Returns ``(walks, missing)``: the ClosedCurve of every class that has
     one, and for every other class the reason it has none.
@@ -247,7 +254,7 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
         back[start] = -1
         goal = {d ^ 1 for d in g.rotations[u0] if d >> 1 != e0}
         found = _search(moves, classes, [(w0, d0, sig[e0])], dist, back,
-                        goal, pending)
+                        goal, pending, e0)
         for h, (w, i) in found.items():
             best[h] = (w, _walk(back, i, classes))
     walks = {}

@@ -116,11 +116,31 @@ def cycle_path_pairs(g: EmbeddedGraph):
     return pairs
 
 
+def answer_bound(g: EmbeddedGraph):
+    """An upper bound on every face-to-face minimum cut of ``g``: the
+    second-largest weighted degree among its ordinary faces, leaving out dual
+    self-loops, since lambda(a, b) <= min(deg a, deg b).  Infinite with fewer
+    than two ordinary faces."""
+    deg = dict.fromkeys(g.ordinary_faces(), 0)
+    for fu, fv, w in dual(g).edges:
+        if fu != fv:
+            for f in (fu, fv):
+                if f in deg:
+                    deg[f] += w
+    if len(deg) < 2:
+        return float("inf")
+    return sorted(deg.values())[-2]
+
+
 def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
     """Recursively cut ``g`` down to a collection of annotated planar members.
 
-    Every member keeps composed face and edge maps back to ``g``.  Raises
-    GenusLimitError above ``genus_max``.
+    Every member keeps composed face and edge maps back to ``g``.  A cycle
+    child whose annotation weight exceeds ``answer_bound(g)`` is not opened:
+    every cut of its subtree's members outweighs every answer, so none of
+    them can win a query or be a minimum cut.  Its slots still count in
+    ``attempted`` and it leaves one skip line.  Raises GenusLimitError above
+    ``genus_max``.
     """
     if g.genus > genus_max:
         raise GenusLimitError(
@@ -129,14 +149,7 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
     skipped = []
     attempted = [0]
     ordinary = frozenset(g.ordinary_faces())
-
-    def finish(h, edge_map, face_map, annotation, prov, cuts):
-        if frozenset(face_map.values()) != ordinary:
-            raise AssertionError("member lost an original face")
-        weight = sum(g.weight(e) for cyc in annotation for e in cyc)
-        members.append(AnnotatedPlanar(h, tuple(annotation), weight,
-                                       dict(face_map), tuple(edge_map),
-                                       tuple(prov), tuple(cuts)))
+    bound = answer_bound(g)
 
     def compose(parent_edge_map, parent_face_map, child):
         edge_map = tuple(parent_edge_map[child.origin_edge_map.get(e, e)]
@@ -146,12 +159,17 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
                     if p in parent_face_map}
         return edge_map, face_map
 
-    def recurse(h, edge_map, face_map, annotation, prov, cuts):
+    def recurse(h, edge_map, face_map, annotation, weight, prov, cuts):
         if h.genus == 0:
             attempted[0] += 1
-            finish(h, edge_map, face_map, annotation, prov, cuts)
+            if frozenset(face_map.values()) != ordinary:
+                raise AssertionError("member lost an original face")
+            members.append(AnnotatedPlanar(h, tuple(annotation), weight,
+                                           dict(face_map), tuple(edge_map),
+                                           tuple(prov), tuple(cuts)))
             return
         slot = expected_size(h.genus - 1)
+        where = "/".join(prov) or "root"
         basis = homology_basis(h)
         walks, missing = tight_cycle_walk(h, basis)
         if walks.pop(0, None) is not None:
@@ -160,21 +178,25 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
         classes = 1 << (2 * h.genus)
         for c, reason in missing.items():
             attempted[0] += slot * (1 + classes)
-            skipped.append(
-                f"{'/'.join(prov) or 'root'}: cycle class {c}: {reason}")
+            skipped.append(f"{where}: cycle class {c}: {reason}")
         for c in sorted(walks):
             walk = walks[c]
             try:
                 cut, b1, b2 = _cut_cycle(h, walk)
             except (SeparatingCutError, CurveShapeError) as exc:
                 attempted[0] += slot * (1 + classes)
-                skipped.append(
-                    f"{'/'.join(prov) or 'root'}: cycle class {c} cut: {exc}")
+                skipped.append(f"{where}: cycle class {c} cut: {exc}")
                 continue
             cyc_orig = frozenset(edge_map[e] for e in walk.edge_set())
             em, fm = compose(edge_map, face_map, cut)
-            recurse(cut, em, fm, annotation + [cyc_orig],
-                    prov + [f"cycle h={c}"], cuts + [("cycle", cyc_orig)])
+            child_weight = weight + sum(g.weight(e) for e in cyc_orig)
+            if child_weight > bound:
+                attempted[0] += slot
+                skipped.append(f"{where}: cycle class {c}: annotation "
+                               f"{child_weight} exceeds answer bound {bound}")
+            else:
+                recurse(cut, em, fm, annotation + [cyc_orig], child_weight,
+                        prov + [f"cycle h={c}"], cuts + [("cycle", cyc_orig)])
             sigs = _inherited_signatures(cut, basis)
             paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
             for target in range(classes):
@@ -188,17 +210,16 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
                         reason = exc
                 if reason is not None:
                     attempted[0] += slot
-                    skipped.append(f"{'/'.join(prov) or 'root'}: "
-                                   f"pair h={c} p={target}: {reason}")
+                    skipped.append(f"{where}: pair h={c} p={target}: {reason}")
                     continue
                 path_orig = frozenset(em[d // 2] for d in darts)
                 em2, fm2 = compose(em, fm, both)
-                recurse(both, em2, fm2, annotation,
+                recurse(both, em2, fm2, annotation, weight,
                         prov + [f"pair h={c} p={target}"],
                         cuts + [("pair", cyc_orig, path_orig)])
 
     identity = tuple(range(g.edge_count))
-    recurse(g, identity, {f: f for f in ordinary}, [], [], [])
+    recurse(g, identity, {f: f for f in ordinary}, [], 0, [], [])
     return Collection(tuple(members), attempted[0], tuple(skipped))
 
 

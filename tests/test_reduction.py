@@ -1,17 +1,20 @@
 import random
+import re
 
 import pytest
 
-from surfcut import gen, weights
-from surfcut.embed import crosses
+from surfcut import gen, reduction, weights
+from surfcut.embed import EmbeddedGraph, crosses
 from surfcut.errors import GenusLimitError
 from surfcut.oracle import (
     min_face_cut,
     min_separating_subgraph_exhaustive,
     separates_faces,
 )
+from surfcut.merge import merged_collection_tree
 from surfcut.reduction import (
     Collection,
+    answer_bound,
     collection_min_cut,
     cycle_path_pairs,
     expected_size,
@@ -186,3 +189,73 @@ class TestMemberInvariants:
                         assert not crosses(c, s, self.g)
                         assert not crosses(p, s, self.g)
         assert kinds  # both member shapes exist across this instance
+
+
+def random_torus(k, seed, low=1):
+    rng = random.Random(seed)
+    w = [rng.randint(low, 100) for _ in range(2 * k * k)]
+    return weights.perturb_graph(gen.torus_grid(k, weights=w), seed=seed)
+
+
+def random_handle2(seed):
+    rng = random.Random(seed)
+    g = gen.torus_grid(2, weights=[rng.randint(1, 100) for _ in range(8)])
+    g = gen.add_edge_between_faces(g, 0, 2, rng.randint(1, 100))
+    return weights.perturb_graph(g, seed=seed)
+
+
+PRUNED = re.compile(r": cycle class \d+: annotation (\d+) exceeds answer "
+                    r"bound (\d+)$")
+
+
+class TestAnswerBoundPruning:
+    """Leaving out cycle children whose annotation exceeds the answer bound
+    changes no merged tree; it only drops members no answer comes from."""
+
+    def test_bound_skips_dual_self_loops(self):
+        # faces: a digon of edges 0 and 3 (degree 3), edges 0, 1, 2 plus the
+        # pendant edge 4 on both sides (degree 8), edges 3, 1, 2 (degree 9);
+        # counting the pendant's dual self-loop would give 9
+        g = EmbeddedGraph(4, ((0, 1, 1), (1, 2, 3), (2, 0, 4), (0, 1, 2),
+                              (2, 3, 50)),
+                          ((0, 5, 6), (1, 7, 2), (3, 4, 8), (9,)))
+        assert g.genus == 0 and g.face_count == 3
+        assert answer_bound(g) == 8
+
+    def test_bound_is_infinite_below_two_faces(self):
+        assert answer_bound(gen.double_torus_one_vertex()) == float("inf")
+
+    def compare(self, g, monkeypatch):
+        """Pruned against unpruned collection of ``g``; returns the number of
+        pruned cycle children."""
+        bound = answer_bound(g)
+        pruned = planar_collection(g)
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "answer_bound", lambda h: float("inf"))
+            full = planar_collection(g)
+        assert pruned.attempted == full.attempted == expected_size(g.genus)
+        assert not [s for s in full.skipped if PRUNED.search(s)]
+        lines = [m for m in map(PRUNED.search, pruned.skipped) if m]
+        for m in lines:
+            assert int(m[2]) == bound < int(m[1])
+        # exactly the members whose annotation exceeds the bound are gone
+        assert [m.provenance for m in pruned.members] == [
+            m.provenance for m in full.members
+            if m.annotation_weight <= bound]
+        tree = merged_collection_tree(pruned, member_trees(pruned))
+        assert tree.to_json() == merged_collection_tree(
+            full, member_trees(full)).to_json()
+        assert max(w for _, _, w in tree.edges) <= bound
+        return len(lines)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_torus_matches_unpruned(self, k, seed, monkeypatch):
+        self.compare(random_torus(k, seed), monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_handle2_matches_unpruned(self, seed, monkeypatch):
+        assert self.compare(random_handle2(seed), monkeypatch) > 0
+
+    def test_torus10_prunes(self, monkeypatch):
+        assert self.compare(random_torus(10, 7, low=10), monkeypatch) == 3
