@@ -3,9 +3,10 @@
 ``build`` writes only the cut tree and the seed; ``query`` rebuilds the LCA
 index from the stored tree and answers each pair line in O(1).
 
-Exit codes: 0 success, 2 input failure (a malformed graph or artifact, or a
-bad query pair line), 3 genus above the configured maximum, 4 crossing
-minimum cuts during merge, 5 too many edges for the weight perturbation.
+Global flags are ``--seed`` and ``--format``.  Exit codes: 0 success, 2
+input failure (a malformed graph or artifact, or a bad query pair line), 3
+genus above ``reduction.GENUS_MAX`` (2), 4 crossing minimum cuts during
+merge, 5 too many edges for the weight perturbation.
 """
 
 from __future__ import annotations
@@ -59,23 +60,23 @@ def _emit(args, payload, text_lines):
     _write(getattr(args, "output", "-") or "-", out)
 
 
-def build_tree(g, seed: int, genus_max: int):
+def build_tree(g, seed: int):
     """Cut tree over the ordinary faces of ``g``: weight-perturbed pipeline,
-    de-perturbed exact weights on the result."""
+    de-perturbed exact weights and the input's checksum on the result."""
     pg = weights.perturb_graph(g, seed)
-    checksum = host_checksum(format_graph(g))
     if g.genus == 0:
-        tree = dual_cut_tree(pg, checksum=checksum)
+        tree = dual_cut_tree(pg)
     else:
-        coll = planar_collection(pg, genus_max=genus_max)
-        trees = member_trees(coll, checksum)
-        tree = merged_collection_tree(coll, trees, checksum)
-    return tree.with_weights([weights.restore(w) for _, _, w in tree.edges])
+        coll = planar_collection(pg)
+        tree = merged_collection_tree(coll, member_trees(coll))
+    return CutTree(tree.nodes, tuple((u, v, weights.restore(w))
+                                     for u, v, w in tree.edges),
+                   host_checksum(format_graph(g)))
 
 
 def cmd_build(args):
     g = parse_graph(_read(args.input))
-    tree = build_tree(g, args.seed, args.genus_max)
+    tree = build_tree(g, args.seed)
     payload = {"tree": json.loads(tree.to_json()), "seed": args.seed}
     _write(args.output, json.dumps(payload, sort_keys=True,
                                    separators=(",", ":")) + "\n")
@@ -119,7 +120,7 @@ def cmd_verify(args):
     def check(name, ok):
         report.append((name, bool(ok)))
 
-    tree = build_tree(g, args.seed, args.genus_max)
+    tree = build_tree(g, args.seed)
     faces = sorted(g.ordinary_faces())
     check("tree-spans-ordinary-faces", sorted(tree.nodes) == faces)
     d = dual(g)
@@ -131,7 +132,7 @@ def cmd_verify(args):
         ok = all(tree.path_min(a, b) == min_face_cut(g, a, b)[0]
                  for i, a in enumerate(faces) for b in faces[i + 1:])
         check("pairs-match-dual-max-flow", ok)
-    again = build_tree(g, args.seed, args.genus_max)
+    again = build_tree(g, args.seed)
     check("deterministic-rebuild", again == tree)
     lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report]
     _emit(args, {name: ok for name, ok in report}, lines)
@@ -160,7 +161,6 @@ def make_parser():
         prog="surfcut",
         description="all-pairs minimum cuts on surface-embedded graphs")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--genus-max", type=int, default=2)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

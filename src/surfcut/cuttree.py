@@ -167,7 +167,7 @@ def host_checksum(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def gomory_hu(n, edges, vertices=None, checksum="", terminals=None) -> CutTree:
+def gomory_hu(n, edges, terminals=None) -> CutTree:
     """Gomory-Hu tree over ``terminals`` (default: every vertex) by the
     contraction scheme of Gomory and Hu ("Multi-terminal network flows",
     1961).
@@ -177,11 +177,8 @@ def gomory_hu(n, edges, vertices=None, checksum="", terminals=None) -> CutTree:
     hanging off it to one vertex, and splits it by a minimum cut between its
     two smallest terminals.  So exactly |T|-1 max-flow calls are made, the
     cuts are nested by construction, and each finished group is labelled by
-    its one terminal; the other vertices only carry flow.  ``vertices``
-    relabels node ids in the output (defaults to range(n)).
+    its one terminal; the other vertices only carry flow.
     """
-    if vertices is None:
-        vertices = tuple(range(n))
     terms = [sorted(set(range(n) if terminals is None else terminals))]
     members = [list(range(n))]
     owner = [0] * n                 # vertex -> group
@@ -233,21 +230,19 @@ def gomory_hu(n, edges, vertices=None, checksum="", terminals=None) -> CutTree:
             tree[nb][bi] = w
         moved[gi] = tree[gi][bi] = value
         tree.append(moved)
-    label = [vertices[ts[0]] for ts in terms]
+    label = [ts[0] for ts in terms]
     out = sorted((min(label[a], label[b]), max(label[a], label[b]), w)
                  for a, nbs in enumerate(tree) for b, w in nbs.items() if a < b)
-    return CutTree(tuple(sorted(label)), tuple(out), checksum)
+    return CutTree(tuple(sorted(label)), tuple(out))
 
 
-def dual_cut_tree(g: EmbeddedGraph, annotation_weight: int = 0,
-                  checksum: str = "") -> CutTree:
+def dual_cut_tree(g: EmbeddedGraph, annotation_weight: int = 0) -> CutTree:
     """Cut tree over the ordinary faces of ``g``: Gomory-Hu on the dual graph
     with those faces as terminals, then a uniform annotation offset added to
     every tree edge.  Boundary faces only carry flow, so a graph with F
     ordinary faces costs F-1 max-flows."""
     d = dual(g)
-    t = gomory_hu(d.vertex_count, d.edges, checksum=checksum,
-                  terminals=g.ordinary_faces())
+    t = gomory_hu(d.vertex_count, d.edges, terminals=g.ordinary_faces())
     if annotation_weight:
         t = t.with_weights([w + annotation_weight for _, _, w in t.edges])
     return t

@@ -558,7 +558,7 @@ def _end_items(end):
 
 
 # ---------------------------------------------------------------------------
-# Crossing tests and cycle decomposition
+# Crossing test
 
 
 def crosses(h1, h2, g: EmbeddedGraph, subset_cap: int = 12) -> bool:
@@ -656,86 +656,6 @@ def _interleaved(labels):
     return False
 
 
-def crosses_component_based(h1, h2, g: EmbeddedGraph) -> bool:
-    """Equivalent crossing test for connected ``h1`` and even separating ``h2``.
-
-    Components of ``g`` cut along ``h2`` partition the faces; ``h1`` crosses
-    ``h2`` iff its edges have incident faces in two different components.
-    """
-    h1, h2 = frozenset(h1), frozenset(h2)
-    sides = _face_sides(g, h2)
-    interior = set()
-    for e in sorted(h1 - h2):
-        interior.add(sides[g.face_of(2 * e)])
-        interior.add(sides[g.face_of(2 * e + 1)])
-    if len(interior) > 1:
-        return True
-    # edges shared with h2 lie on the closure of two components; they only
-    # force a crossing if neither touches the component holding the rest
-    if not interior:
-        return False
-    comp = interior.pop()
-    for e in sorted(h1 & h2):
-        if sides[g.face_of(2 * e)] != comp and sides[g.face_of(2 * e + 1)] != comp:
-            return True
-    return False
-
-
-def _face_sides(g, h2):
-    """Component label per face when the surface is cut along ``h2``."""
-    comp = {}
-    nxt = 0
-    for f in range(g.face_count):
-        if f in comp:
-            continue
-        stack = [f]
-        comp[f] = nxt
-        while stack:
-            a = stack.pop()
-            for d in g.faces()[a]:
-                e = edge_of(d)
-                if e in h2:
-                    continue
-                b = g.face_of(twin(d))
-                if b not in comp:
-                    comp[b] = nxt
-                    stack.append(b)
-        nxt += 1
-    return comp
-
-
-def cycle_decomposition(h, g: EmbeddedGraph):
-    """Partition an even edge set into simple, pairwise non-crossing cycles."""
-    h = frozenset(h)
-    for v in range(g.vertex_count):
-        if sum(1 for d in g.rotations[v] if edge_of(d) in h) % 2:
-            raise ValueError("edge set is not even")
-    if not h:
-        return []
-    walks = [list(w.darts) for w in curves_from_edge_set(g, h)]
-    out = []
-    while walks:
-        w = walks.pop()
-        rep = _first_repeat(g, w)
-        if rep is None:
-            out.append(frozenset(edge_of(d) for d in w))
-            continue
-        i, j = rep
-        walks.append(w[i:j])
-        walks.append(w[j:] + w[:i])
-    return out
-
-
-def _first_repeat(g, walk):
-    pos = {}
-    for i, d in enumerate(walk):
-        v = g.dart_vertex(d)
-        if v in pos:
-            return pos[v], i
-        pos[v] = i
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Text format
 
@@ -747,6 +667,8 @@ def parse_graph(text: str) -> EmbeddedGraph:
     it = iter(lines)
     try:
         n = int(next(it).split()[1])
+        if n < 1:
+            raise GraphFormatError(f"graph needs at least one vertex, got {n}")
         m = int(next(it).split()[1])
         raw_edges = []
         for _ in range(m):
@@ -760,7 +682,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
                 raise GraphFormatError("expected rotation line")
             v = int(parts[1])
             rotations[v] = tuple(int(d) for d in parts[2:])
-    except (StopIteration, IndexError, ValueError) as exc:
+    except (StopIteration, IndexError, ValueError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad graph file: {exc}") from exc
     scale = 1
     for _, _, _, w in raw_edges:

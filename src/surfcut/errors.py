@@ -27,11 +27,12 @@ class CurveShapeError(SurfcutError):
 
 
 class InstanceTooLargeError(SurfcutError):
-    """Too many edges for a collision-free weight perturbation."""
+    """Too many edges for distinct residues that keep the weight
+    perturbation's cut weights exact."""
 
 
 class GenusLimitError(SurfcutError):
-    """Input genus exceeds the configured maximum."""
+    """Input genus exceeds ``reduction.GENUS_MAX``."""
 
 
 class CrossingCutsError(SurfcutError):

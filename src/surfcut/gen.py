@@ -96,6 +96,8 @@ def k4() -> EmbeddedGraph:
 
 def cycle_graph(n: int, weights=None) -> EmbeddedGraph:
     """Cycle with a sphere embedding (2 faces)."""
+    if n < 1:
+        raise ValueError("cycle graph needs n >= 1")
     if weights is None:
         weights = [1] * n
     edges = tuple((i, (i + 1) % n, weights[i]) for i in range(n))

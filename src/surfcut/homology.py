@@ -46,13 +46,6 @@ class HomologyBasis:
         return frozenset(_tree_path(parent, a, b))
 
 
-def format_signature(bits: int, length: int, extended=None) -> str:
-    s = "".join("1" if bits >> i & 1 else "0" for i in range(length))
-    if extended is not None:
-        s += f"+{extended}"
-    return s
-
-
 def _adjacency(g, allowed):
     adj = [[] for _ in range(g.vertex_count)]
     for e in sorted(allowed):
@@ -120,19 +113,6 @@ def subgraph_signature(x, basis: HomologyBasis, ab=None):
     a, b = ab
     path = basis.dual_path(a, b)
     return bits, len(frozenset(x) & path) % 2
-
-
-def is_null_homologous(x, basis: HomologyBasis) -> bool:
-    x = frozenset(x)
-    g = basis.graph
-    deg = [0] * g.vertex_count
-    for e in x:
-        u, v, _ = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    if any(d % 2 for d in deg):
-        raise ValueError("edge set is not even")
-    return basis.signature(x) == 0
 
 
 def _cover_moves(g: EmbeddedGraph, signatures, classes: int):
@@ -267,40 +247,6 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
         else:
             walks[h] = uncross_walk(g, best[h][1])
     return walks, missing
-
-
-def min_even_subgraph(g: EmbeddedGraph, basis: HomologyBasis, h: int):
-    """Minimum-weight even edge set with signature ``h``, as (edge set, weight).
-
-    Built by composing tight cycles: shortest path over the signature group
-    with tight cycle weights as step costs.  The symmetric difference of the
-    chosen cycles achieves the same weight as the best sum.
-    """
-    sheets = 1 << (2 * basis.genus)
-    if h == 0:
-        return frozenset(), 0
-    walks, _ = tight_cycle_walk(g, basis)
-    cycles = {}
-    for c in range(1, sheets):
-        if c in walks:
-            x = walks[c].edge_set()
-            cycles[c] = (sum(g.weight(e) for e in x), x)
-    dist = {0: (0, frozenset())}
-    heap = [(0, 0)]
-    while heap:
-        w, s = heapq.heappop(heap)
-        if w > dist[s][0]:
-            continue
-        for c, (wc, xc) in cycles.items():
-            s2 = s ^ c
-            nw = w + wc
-            if s2 not in dist or nw < dist[s2][0]:
-                dist[s2] = (nw, dist[s][1] ^ xc)
-                heapq.heappush(heap, (nw, s2))
-    if h not in dist:
-        raise NoPathError(f"no even subgraph with signature {h}")
-    witness = dist[h][1]
-    return witness, sum(g.weight(e) for e in witness)
 
 
 def min_even_subgraph_oracle(g: EmbeddedGraph, basis: HomologyBasis, h: int):

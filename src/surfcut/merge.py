@@ -9,8 +9,9 @@ node.
 
 Region trees here are rooted trees whose leaves are the host vertices;
 each internal edge carries the weight of the cut given by the leaves below
-it.  They may be partial (fewer cuts than a full tree), which is how trees
-over a member's face set are projected onto the original face set.
+it.  A member's cut tree spans exactly its ordinary faces, which map one to
+one onto the original faces, so its projection keeps every cut of the tree;
+a cut tree over the host vertices themselves is the identity projection.
 """
 
 from __future__ import annotations
@@ -139,26 +140,6 @@ class LeafTree:
         return leaf_tree_from_cuts(full, cuts)
 
 
-def from_cut_tree(t: CutTree) -> LeafTree:
-    """Complete region tree of a cut tree: one internal node and one leaf per
-    cut-tree node."""
-    internal = {v: _fresh() for v in t.nodes}
-    root = internal[min(t.nodes)]
-    parent = {root: None}
-    adj = t.adjacency()
-    stack = [min(t.nodes)]
-    seen = {min(t.nodes)}
-    while stack:
-        u = stack.pop()
-        parent[u] = (internal[u], None)
-        for v, w, _ in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                parent[internal[v]] = (internal[u], w)
-                stack.append(v)
-    return LeafTree(root, parent)
-
-
 def leaf_tree_from_cuts(nodes, cuts) -> LeafTree:
     """Region tree of a laminar family ``{side: weight}`` over ``nodes``;
     no side may contain ``min(nodes)``.
@@ -251,7 +232,7 @@ def detect_crossing_minimum_cuts(leaf_trees, nodes):
             owner[x] = k
 
 
-def merge_leaf_trees(leaf_trees, nodes, checksum: str = "") -> CutTree:
+def merge_leaf_trees(leaf_trees, nodes) -> CutTree:
     """Gusfield's Gomory-Hu algorithm over region trees.
 
     Every ``s`` after the first node, in sorted order, is cut from its
@@ -286,7 +267,7 @@ def merge_leaf_trees(leaf_trees, nodes, checksum: str = "") -> CutTree:
             p[s], p[t] = p[t], s
             weight[s], weight[t] = weight[t], weight[s]
     return CutTree(tuple(nodes), tuple(sorted(
-        (min(s, p[s]), max(s, p[s]), weight[s]) for s in nodes[1:])), checksum)
+        (min(s, p[s]), max(s, p[s]), weight[s]) for s in nodes[1:])))
 
 
 def distinct_trees(leaf_trees):
@@ -302,7 +283,7 @@ def distinct_trees(leaf_trees):
     return out
 
 
-def merge_cut_trees(trees, checksum: str = "") -> CutTree:
+def merge_cut_trees(trees) -> CutTree:
     """Merge cut trees sharing a node set; queries on the result equal the
     minimum over the inputs' queries.  Raises CrossingCutsError when two
     inputs carry crossing minimum cuts."""
@@ -312,16 +293,17 @@ def merge_cut_trees(trees, checksum: str = "") -> CutTree:
     for t in trees[1:]:
         if sorted(t.nodes) != nodes:
             raise ValueError("input trees disagree on the node set")
-    lts = distinct_trees(from_cut_tree(t) for t in trees)
+    identity = {v: v for v in nodes}
+    lts = distinct_trees(project_member_tree(t, identity) for t in trees)
     detect_crossing_minimum_cuts(lts, nodes)
-    return merge_leaf_trees(lts, nodes, checksum)
+    return merge_leaf_trees(lts, nodes)
 
 
-def merged_collection_tree(collection, trees, checksum: str = "") -> CutTree:
+def merged_collection_tree(collection, trees) -> CutTree:
     """Project each member's cut tree onto the original faces and merge the
     distinct projections."""
     lts = distinct_trees(project_member_tree(t, m.face_map)
                          for m, t in zip(collection.members, trees))
     nodes = sorted(lts[0].leaves())
     detect_crossing_minimum_cuts(lts, nodes)
-    return merge_leaf_trees(lts, nodes, checksum)
+    return merge_leaf_trees(lts, nodes)

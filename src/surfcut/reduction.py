@@ -27,6 +27,10 @@ from .errors import (
 )
 from .homology import homology_basis, tight_cycle_walk, tight_path
 
+# Highest genus a build accepts.  A genus-3 input would open
+# expected_size(3) = 22,630,400 member slots.
+GENUS_MAX = 2
+
 
 @dataclass(frozen=True)
 class AnnotatedPlanar:
@@ -92,30 +96,6 @@ def _cut_cycle(g, walk):
     return h, fresh[0], fresh[1]
 
 
-def cycle_path_pairs(g: EmbeddedGraph):
-    """Tight cycle-path pairs, as pairs of edge sets of ``g``.
-
-    For each non-separating tight cycle C and each signature class, the
-    minimum path between the two boundary faces of the cut graph; classes
-    without a valid path are skipped.
-    """
-    basis = homology_basis(g)
-    walks, _ = tight_cycle_walk(g, basis)
-    pairs = []
-    for h in sorted(walks):
-        try:
-            cut, b1, b2 = _cut_cycle(g, walks[h])
-        except (SeparatingCutError, CurveShapeError):
-            continue
-        sigs = _inherited_signatures(cut, basis)
-        paths, _ = tight_path(cut, b1, b2, sigs, range(1 << (2 * g.genus)))
-        for darts, _ in paths.values():
-            path = frozenset(cut.origin_edge_map.get(e, e)
-                             for e in (d // 2 for d in darts))
-            pairs.append((walks[h].edge_set(), path))
-    return pairs
-
-
 def answer_bound(g: EmbeddedGraph):
     """An upper bound on every face-to-face minimum cut of ``g``: the
     second-largest weighted degree among its ordinary faces, leaving out dual
@@ -132,7 +112,7 @@ def answer_bound(g: EmbeddedGraph):
     return sorted(deg.values())[-2]
 
 
-def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
+def planar_collection(g: EmbeddedGraph) -> Collection:
     """Recursively cut ``g`` down to a collection of annotated planar members.
 
     Every member keeps composed face and edge maps back to ``g``.  A cycle
@@ -140,11 +120,11 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
     every cut of its subtree's members outweighs every answer, so none of
     them can win a query or be a minimum cut.  Its slots still count in
     ``attempted`` and it leaves one skip line.  Raises GenusLimitError above
-    ``genus_max``.
+    ``GENUS_MAX``.
     """
-    if g.genus > genus_max:
+    if g.genus > GENUS_MAX:
         raise GenusLimitError(
-            f"genus {g.genus} exceeds the configured maximum {genus_max}")
+            f"genus {g.genus} exceeds the maximum {GENUS_MAX}")
     members = []
     skipped = []
     attempted = [0]
@@ -223,10 +203,10 @@ def planar_collection(g: EmbeddedGraph, genus_max: int = 2) -> Collection:
     return Collection(tuple(members), attempted[0], tuple(skipped))
 
 
-def member_trees(collection: Collection, checksum: str = ""):
+def member_trees(collection: Collection):
     """One dual cut tree per member, annotation offset already applied."""
     from .cuttree import dual_cut_tree
-    return [dual_cut_tree(m.graph, m.annotation_weight, checksum)
+    return [dual_cut_tree(m.graph, m.annotation_weight)
             for m in collection.members]
 
 

@@ -1,10 +1,15 @@
-"""Deterministic weight perturbation making minimum cuts unique.
+"""Deterministic weight perturbation that breaks ties between cuts.
 
 Each weight ``w`` becomes ``w * SCALE + r`` where the residues ``r`` are
 distinct and small enough that any edge subset's residue sum stays below
 ``SCALE``.  Integer division by ``SCALE`` then recovers exact original cut
 weights, while ties between cuts of equal original weight are broken
 consistently by the residues.
+
+The residues are distinct, not collision-free: at m = 200 edges they are
+200 distinct draws from ``range(1024)``, so two edge sets can share a residue
+sum and a tie can survive.  The edge limit only keeps ``restore`` exact: past
+it, the residue range that does so holds fewer than m values.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ def residues(m: int, seed: int):
     if bound < m:
         limit = next(k for k in range(m - 1, 0, -1) if _residue_bound(k) >= k)
         raise InstanceTooLargeError(
-            f"{m} edges exceed the {limit}-edge limit of a collision-free "
-            f"weight perturbation")
+            f"{m} edges exceed the {limit}-edge limit of a weight "
+            f"perturbation that keeps cut weights exact")
     rng = random.Random(seed)
     return rng.sample(range(bound), m)
 

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from surfcut import cli
-from surfcut.cuttree import CutTree, validate_cut_tree
-from surfcut.embed import dual, parse_graph
+from surfcut import cli, gen
+from surfcut.cuttree import CutTree, host_checksum, validate_cut_tree
+from surfcut.embed import dual, format_graph, parse_graph
 from surfcut.errors import CrossingCutsError
 from surfcut.oracle import min_face_cut
 from surfcut.query import build_index
@@ -33,9 +33,33 @@ class TestExitCodes:
     def test_missing_file(self):
         assert run(["build", "/nonexistent/input.graph"]) == 2
 
-    def test_genus_over_limit(self, torus_file, capsys):
-        assert run(["--genus-max", "0", "build", str(torus_file)]) == 3
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("text", [
+        "V 0\nE 0\n",                              # no vertex
+        "V 2\nE 1\n0 0 1 1/0\nR 0 0\nR 1 1\n",     # zero denominator
+    ])
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_degenerate_graph(self, tmp_path, capsys, text, command):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(text)
+        assert run([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_gen_empty_cycle_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c0.graph"
+        assert run(["gen", "cycle", "--size", "0", "-o", str(path)]) == 2
+        assert "n >= 1" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_genus_over_limit(self, tmp_path, capsys):
+        g = gen.add_edge_between_faces(
+            gen.add_edge_between_faces(gen.torus_grid(3), 0, 4), 0, 1)
+        path = tmp_path / "g3.graph"
+        path.write_text(format_graph(g))
+        assert run(["build", str(path)]) == 3
+        assert "error: genus 3 exceeds the maximum 2" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("pairs, message", [
         ("0 1\n0 99\n", "line 2: face 99 is not in the cut tree"),
@@ -136,7 +160,7 @@ class TestBuildQuery:
                     "--max-weight", "4398046511104",
                     "-o", str(graph_path)]) == 0
         g = parse_graph(graph_path.read_text())
-        tree = cli.build_tree(g, 1, 2)
+        tree = cli.build_tree(g, 1)
         d = dual(g)
         assert validate_cut_tree(tree, d.vertex_count, list(d.edges)) == []
 
@@ -147,6 +171,19 @@ class TestBuildQuery:
         payload = json.loads(tree_path.read_text())
         assert set(payload) == {"seed", "tree"}
         assert payload["seed"] == 7
+
+    @pytest.mark.parametrize("kind", ["planar", "torus"])
+    def test_artifact_checksum(self, tmp_path, kind):
+        graph_path = tmp_path / f"{kind}.graph"
+        tree_path = tmp_path / "tree.json"
+        assert run(["--seed", "5", "gen", kind, "--size", "4",
+                    "-o", str(graph_path)]) == 0
+        assert run(["--seed", "5", "build", str(graph_path),
+                    "-o", str(tree_path)]) == 0
+        g = parse_graph(graph_path.read_text())
+        payload = json.loads(tree_path.read_text())
+        tree = CutTree.from_json(json.dumps(payload["tree"]))
+        assert tree.host_checksum == host_checksum(format_graph(g))
 
     def test_legacy_cartesian_block_is_ignored(self, torus_file, tmp_path,
                                                capsys):
@@ -172,6 +209,7 @@ class TestBuildQuery:
     @pytest.mark.parametrize("argv", [
         ["--lca", "sparse", "query", "tree.json", "pairs.txt"],
         ["bench"],
+        ["--genus-max", "2", "build", "t.graph"],
     ])
     def test_removed_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,11 +6,9 @@ from surfcut.embed import (
     OpenCurve,
     boundary_of_faces,
     crosses,
-    crosses_component_based,
     curves_from_edge_set,
     cut_along,
     cut_along_curves,
-    cycle_decomposition,
     dual,
     format_graph,
     parse_graph,
@@ -227,55 +225,8 @@ class TestCrosses:
         row1 = frozenset({3, 4, 5})
         assert not crosses(ROW0, row1, g)
 
-    def test_component_agreement(self):
-        g = gen.torus_grid(3)
-        sep = boundary_of_faces({0, 1, 2}, g)   # separating even subgraph
-        for h1 in (ROW0, COL0, frozenset({3, 4, 5})):
-            assert crosses(h1, sep, g) == crosses_component_based(h1, sep, g)
-
 
 class TestCycleDecomposition:
-    def test_single_face_boundary(self):
-        g = gen.k4()
-        b = boundary_of_faces({0}, g)
-        assert cycle_decomposition(b, g) == [b]
-
-    def test_two_disjoint_boundaries(self):
-        g = gen.planar_triangulation(8, seed=11)
-        for f1 in range(g.face_count):
-            for f2 in range(f1 + 1, g.face_count):
-                b1 = boundary_of_faces({f1}, g)
-                b2 = boundary_of_faces({f2}, g)
-                if b1 & b2:
-                    continue
-                verts1 = {v for e in b1 for v in g.endpoints(e)}
-                verts2 = {v for e in b2 for v in g.endpoints(e)}
-                if verts1 & verts2:
-                    continue
-                got = cycle_decomposition(b1 | b2, g)
-                assert sorted(got, key=sorted) == sorted([b1, b2], key=sorted)
-                return
-        pytest.skip("no disjoint face pair in this instance")
-
-    def test_figure_eight(self):
-        # two triangles sharing one vertex, embedded in the sphere
-        edges = ((0, 1, 1), (1, 2, 1), (2, 0, 1),
-                 (0, 3, 1), (3, 4, 1), (4, 0, 1))
-        rotations = ((0, 5, 11, 6), (1, 2), (3, 4), (7, 8), (9, 10))
-        g = EmbeddedGraph(5, edges, rotations)
-        assert g.genus == 0
-        h = frozenset(range(6))
-        parts = cycle_decomposition(h, g)
-        assert len(parts) == 2
-        assert frozenset().union(*parts) == h
-        assert all(len(p) == 3 for p in parts)
-        assert not crosses(parts[0], parts[1], g)
-
-    def test_odd_rejected(self):
-        g = gen.k4()
-        with pytest.raises(ValueError):
-            cycle_decomposition({0, 1}, g)
-
     def test_curves_partition(self):
         g = gen.torus_grid(4)
         x = frozenset({0, 1, 2, 3})
@@ -309,6 +260,8 @@ R 2 3 4
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR 1 0\n",     # dart twice
         "V 1\nE 1\n0 0 0 -3\nR 0 0 1\n",         # negative weight
         "V x\nE 0\n",
+        "V 0\nE 0\n",          # no vertex
+        "V 2\nE 1\n0 0 1 1/0\nR 0 0\nR 1 1\n",   # zero denominator
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(GraphFormatError):

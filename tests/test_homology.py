@@ -1,7 +1,6 @@
 import heapq
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from surfcut.embed import (
     boundary_of_faces,
     cut_along,
     cut_along_curves,
-    cycle_decomposition,
     edge_of,
     trace_faces,
     twin,
@@ -20,11 +18,7 @@ from surfcut.embed import (
 from surfcut.errors import CurveShapeError, NoPathError, SeparatingCutError
 from surfcut.homology import (
     boundary_vertices,
-    format_signature,
     homology_basis,
-    is_null_homologous,
-    min_even_subgraph,
-    min_even_subgraph_oracle,
     subgraph_signature,
     tight_cycle,
     tight_cycle_walk,
@@ -91,16 +85,6 @@ class TestBasis:
                 assert basis.signature(x ^ y) == \
                     basis.signature(x) ^ basis.signature(y)
 
-    def test_decomposition_signature_xor(self):
-        g = gen.torus_grid(3)
-        basis = homology_basis(g)
-        for h in (boundary_of_faces({0, 3}, g), ROW0 | frozenset({3, 4, 5})):
-            parts = cycle_decomposition(h, g)
-            acc = 0
-            for p in parts:
-                acc ^= basis.signature(p)
-            assert acc == basis.signature(h)
-
 
 class TestExtended:
     def test_path_bit(self):
@@ -126,19 +110,13 @@ class TestExtended:
                     _, ext = subgraph_signature(x, basis, ab=(a, b))
                     assert ext == ((a in fs) != (b in fs))
 
-    def test_format(self):
-        assert format_signature(0b10, 2) == "01"
-        assert format_signature(0b01, 2, extended=1) == "10+1"
-
 
 class TestNullHomology:
     def test_boundaries(self):
         g = gen.torus_grid(3, seed=4)
         basis = homology_basis(g)
-        assert is_null_homologous(boundary_of_faces({0, 1}, g), basis)
-        assert not is_null_homologous(ROW0, basis)
-        with pytest.raises(ValueError):
-            is_null_homologous({0}, basis)
+        assert basis.signature(boundary_of_faces({0, 1}, g)) == 0
+        assert basis.signature(ROW0) != 0
 
     def test_matches_face_subset_search(self):
         g = gen.torus_grid(3)
@@ -151,12 +129,12 @@ class TestNullHomology:
         for x in even_subsets(g, rng, 15):
             if not x:
                 continue
-            assert is_null_homologous(x, basis) == (x in boundaries)
+            assert (basis.signature(x) == 0) == (x in boundaries)
 
     def test_homologous_difference(self):
         g = gen.torus_grid(3)
         basis = homology_basis(g)
-        assert is_null_homologous(ROW0 ^ frozenset({3, 4, 5}), basis)
+        assert basis.signature(ROW0 ^ frozenset({3, 4, 5})) == 0
 
 
 class TestTightCycle:
@@ -201,48 +179,6 @@ class TestTightCycle:
         assert not missing
         for h in range(4):
             assert basis.signature(walks[h].edge_set()) == h
-
-
-class TestMinEvenSubgraph:
-    def test_zero(self):
-        g = gen.torus_grid(3)
-        basis = homology_basis(g)
-        assert min_even_subgraph(g, basis, 0) == (frozenset(), 0)
-
-    def test_unit_grid(self):
-        g = gen.torus_grid(3)
-        basis = homology_basis(g)
-        x, w = min_even_subgraph(g, basis, basis.signature(ROW0))
-        assert w == 3
-
-    def test_two_cycle_composition(self):
-        # rows and columns cost 1 per edge, everything else is expensive, so
-        # class row+column is best served by a row plus a column (weight 6)
-        weights = [1] * 6 + [10] * 3 + [1, 10, 10] * 3
-        g = gen.torus_grid(3, weights=weights)
-        basis = homology_basis(g)
-        h = basis.signature(ROW0) ^ basis.signature(COL0)
-        x, w = min_even_subgraph(g, basis, h)
-        assert w == 6
-        parts = cycle_decomposition(x, g)
-        assert sorted(len(p) for p in parts) == [3, 3]
-
-    def test_matches_oracle_small(self):
-        g = gen.torus_grid(2, seed=21)
-        assert g.genus == 1
-        basis = homology_basis(g)
-        for h in range(4):
-            _, w = min_even_subgraph(g, basis, h)
-            _, w_oracle = min_even_subgraph_oracle(g, basis, h)
-            assert w == w_oracle
-
-    def test_matches_oracle_genus2(self):
-        g = gen.double_torus_one_vertex().with_weights([3, 1, 4, 1])
-        basis = homology_basis(g)
-        for h in range(16):
-            _, w = min_even_subgraph(g, basis, h)
-            _, w_oracle = min_even_subgraph_oracle(g, basis, h)
-            assert w == w_oracle
 
 
 def one_path(h, f1, f2, sigs, target):

@@ -8,7 +8,6 @@ from surfcut.cuttree import CutTree, gomory_hu
 from surfcut.errors import CrossingCutsError
 from surfcut.merge import (
     LeafTree,
-    from_cut_tree,
     leaf_tree_from_cuts,
     merge_cut_trees,
     merged_collection_tree,
@@ -16,6 +15,11 @@ from surfcut.merge import (
 )
 from surfcut.oracle import min_face_cut
 from surfcut.reduction import member_trees, planar_collection
+
+
+def region_tree(t):
+    """The region tree of a cut tree: its projection onto its own nodes."""
+    return project_member_tree(t, {v: v for v in t.nodes})
 
 
 def tree_cuts(lt: LeafTree):
@@ -44,7 +48,7 @@ class TestRestrict:
         # path region tree over 0..4 with distinct cut weights
         self.t = CutTree((0, 1, 2, 3, 4),
                          ((0, 1, 10), (1, 2, 4), (2, 3, 8), (3, 4, 6)))
-        self.lt = from_cut_tree(self.t)
+        self.lt = region_tree(self.t)
 
     def test_subtree_side(self):
         ra = self.lt.restrict({3, 4}, "beta")
@@ -69,7 +73,7 @@ class TestRestrict:
         rng = random.Random(seed)
         n = rng.randint(5, 14)
         t = random_perturbed_tree(n, seed + 100)
-        lt = from_cut_tree(t)
+        lt = region_tree(t)
         universe = frozenset(range(n))
         a_set = frozenset(rng.sample(range(n), rng.randint(1, n - 1)))
         ra = lt.restrict(a_set, "beta")
@@ -95,7 +99,7 @@ class TestRestrict:
     def test_paper_regions_are_subset(self):
         # every region fully inside A survives restriction
         t = random_perturbed_tree(12, 7)
-        lt = from_cut_tree(t)
+        lt = region_tree(t)
         a_set = frozenset({1, 3, 5, 7, 9, 11})
         ra = lt.restrict(a_set, "beta")
         kept = set(tree_cuts(ra))

@@ -22,7 +22,6 @@ from surfcut.merge import (  # noqa: E402
     _fresh,
     _nkey,
     detect_crossing_minimum_cuts,
-    from_cut_tree,
     leaf_tree_from_cuts,
     merge_cut_trees,
     merge_leaf_trees,
@@ -30,6 +29,11 @@ from surfcut.merge import (  # noqa: E402
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def region_tree(t):
+    """The region tree of a cut tree: its projection onto its own nodes."""
+    return project_member_tree(t, {v: v for v in t.nodes})
 
 
 @st.composite
@@ -151,14 +155,14 @@ def split_at(lt, node, down_label, up_label):
     return LeafTree(node, below), LeafTree(lt.root, above)
 
 
-def dc_merge_leaf_trees(leaf_trees, nodes, checksum=""):
+def dc_merge_leaf_trees(leaf_trees, nodes):
     """merge_leaf_trees as it was before Gusfield's algorithm: a
     divide-and-conquer that cuts the first unseparated pair of a group by the
     best minimum cut any input offers, then splits the winning input and
     restricts every other one to each side."""
     nodes = sorted(nodes)
     if len(nodes) == 1:
-        return CutTree((nodes[0],), (), checksum)
+        return CutTree((nodes[0],), ())
     groups = [list(nodes)]
     gtrees = [list(leaf_trees)]
     tree_edges = []
@@ -208,7 +212,7 @@ def dc_merge_leaf_trees(leaf_trees, nodes, checksum=""):
     label = {i: grp[0] for i, grp in enumerate(groups)}
     out = tuple(sorted((min(label[x], label[y]), max(label[x], label[y]), w)
                        for x, y, w in tree_edges))
-    return CutTree(tuple(nodes), out, checksum)
+    return CutTree(tuple(nodes), out)
 
 
 def perturbed(t, n):
@@ -227,19 +231,18 @@ def perturbed(t, n):
 @st.composite
 def merge_inputs(draw):
     """Region trees over host nodes ``0..n-1`` and whether they are
-    perturbed: complete trees of cut trees, or projections of cut trees over
-    up to two more (boundary) nodes."""
+    perturbed: projections of cut trees over those nodes, or over up to two
+    more (boundary) nodes when ``boundary`` is drawn."""
     n = draw(st.integers(2, 8))
-    project = draw(st.booleans())
+    boundary = draw(st.booleans())
     perturb = draw(st.booleans())
     lts = []
     for _ in range(draw(st.integers(1, 4))):
-        extra = draw(st.integers(0, 2)) if project else 0
+        extra = draw(st.integers(0, 2)) if boundary else 0
         t = draw(cut_trees(n + extra, max_weight=4))
         if perturb:
             t = perturbed(t, n)
-        lts.append(project_member_tree(t, {v: v for v in range(n)})
-                   if project else from_cut_tree(t))
+        lts.append(project_member_tree(t, {v: v for v in range(n)}))
     return lts, list(range(n)), perturb
 
 
@@ -284,7 +287,7 @@ def test_leaf_tree_from_cuts_matches_scan(t, data):
 @SETTINGS
 @given(cut_trees(), st.data())
 def test_cached_leaf_sets_match_dfs(t, data):
-    lt = from_cut_tree(t)
+    lt = region_tree(t)
     keep = data.draw(st.sets(st.sampled_from(t.nodes), min_size=1,
                              max_size=len(t.nodes) - 1))
     trees = [lt, lt.restrict(keep, "beta"), lt.restrict(keep, "alpha")]
@@ -315,7 +318,7 @@ def test_duplicate_inputs_merge_like_distinct(trees, data):
     want = merge_cut_trees(trees)
     assert merge_cut_trees(dup) == want
     nodes = sorted(trees[0].nodes)
-    every = [from_cut_tree(t) for t in dup]
+    every = [region_tree(t) for t in dup]
     assert merge_leaf_trees(every, nodes) == want
 
 
@@ -324,7 +327,7 @@ def test_duplicate_inputs_merge_like_distinct(trees, data):
           CutTree((0, 1, 2, 3), ((0, 2, 5), (1, 2, 1), (1, 3, 5)))])
 @given(tree_sets())
 def test_laminarity_check_matches_all_pairs_scan(trees):
-    lts = [from_cut_tree(t) for t in trees]
+    lts = [region_tree(t) for t in trees]
     nodes = sorted(trees[0].nodes)
     try:
         all_pairs_crossing_check(lts, nodes)
@@ -351,7 +354,7 @@ TWO_GOMORY_HU_TREES = [
 
 
 @settings(max_examples=400, deadline=None)
-@example(([from_cut_tree(t) for t in TWO_GOMORY_HU_TREES], list(range(7)),
+@example(([region_tree(t) for t in TWO_GOMORY_HU_TREES], list(range(7)),
           False))
 @given(merge_inputs())
 def test_gusfield_merge_matches_divide_and_conquer(inputs):

@@ -16,7 +16,6 @@ from surfcut.reduction import (
     Collection,
     answer_bound,
     collection_min_cut,
-    cycle_path_pairs,
     expected_size,
     lifted_witness,
     member_trees,
@@ -39,17 +38,6 @@ class TestTightCyclesAll:
         assert len(cycles) == 4
         ws = sorted(sum(1 for _ in c) for c in cycles)
         assert ws == [3, 3, 4, 6]
-
-
-class TestCyclePathPairs:
-    def test_count_and_weight_bound(self):
-        g = gen.torus_grid(3)
-        pairs = cycle_path_pairs(g)
-        assert 0 < len(pairs) <= 16
-        for c, p in pairs:
-            assert p
-            assert sum(g.weight(e) for e in p) >= min(
-                g.weight(e) for e in range(g.edge_count))
 
 
 class TestPlanarCollection:
@@ -78,8 +66,11 @@ class TestPlanarCollection:
             assert len(m.annotation) <= 1  # original genus
 
     def test_genus_limit(self):
+        g = gen.add_edge_between_faces(
+            gen.add_edge_between_faces(gen.torus_grid(3), 0, 4), 0, 1)
+        assert g.genus == reduction.GENUS_MAX + 1
         with pytest.raises(GenusLimitError):
-            planar_collection(gen.double_torus_one_vertex(), genus_max=1)
+            planar_collection(g)
 
 
 class TestCollectionMinCut:
