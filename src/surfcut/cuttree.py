@@ -236,16 +236,12 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     return CutTree(tuple(sorted(label)), tuple(out))
 
 
-def dual_cut_tree(g: EmbeddedGraph, annotation_weight: int = 0) -> CutTree:
+def dual_cut_tree(g: EmbeddedGraph) -> CutTree:
     """Cut tree over the ordinary faces of ``g``: Gomory-Hu on the dual graph
-    with those faces as terminals, then a uniform annotation offset added to
-    every tree edge.  Boundary faces only carry flow, so a graph with F
-    ordinary faces costs F-1 max-flows."""
+    with those faces as terminals.  Boundary faces only carry flow, so a
+    graph with F ordinary faces costs F-1 max-flows."""
     d = dual(g)
-    t = gomory_hu(d.vertex_count, d.edges, terminals=g.ordinary_faces())
-    if annotation_weight:
-        t = t.with_weights([w + annotation_weight for _, _, w in t.edges])
-    return t
+    return gomory_hu(d.vertex_count, d.edges, terminals=g.ordinary_faces())
 
 
 def validate_cut_tree(t: CutTree, n, edges, pair_check=True):

@@ -5,14 +5,19 @@ cycle (which drops the genus and records the cycle as an annotation), or
 cutting along a tight cycle together with a tight path between the two fresh
 boundary faces (which also drops the genus but leaves the annotation alone).
 Queries are then answered as a minimum over the members' dual cut trees, with
-each member's annotation weight added as a uniform offset.
+each member's annotation weight added as a uniform offset.  Members repeat:
+many have the same dual capacities up to a renaming of their boundary faces,
+so one Gomory-Hu tree is built per class of equal capacities and shared by
+every member of the class.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .cuttree import max_flow_min_cut
+from . import cuttree
+from .cuttree import CutTree, max_flow_min_cut
 from .embed import (
     EmbeddedGraph,
     OpenCurve,
@@ -203,11 +208,77 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
     return Collection(tuple(members), attempted[0], tuple(skipped))
 
 
+def capacity_key(caps, base):
+    """Canonical form of a member dual's capacities.
+
+    ``caps`` maps face pairs ``(x, y)``, ``x < y``, to summed capacities.
+    Faces below ``base`` keep their ids; the others are boundary faces, which
+    are renumbered ``base, base + 1, ...`` by the permutation that makes the
+    sorted ``(x, y, w)`` tuple lexicographically least.  So two maps get the
+    same key exactly when one is the other with its boundary faces renamed.
+    """
+    fixed, moving = [], []
+    for (x, y), w in caps.items():
+        (moving if y >= base else fixed).append((x, y, w))
+    boundary = sorted({f for x, y, _ in moving for f in (x, y) if f >= base})
+    # The pairs between ordinary faces are the same under every renaming,
+    # and equal-length sorted sequences that share a sub-multiset compare as
+    # their remainders do, so comparing the moving pairs alone picks the
+    # same renaming.
+    best = None
+    for perm in itertools.permutations(range(base, base + len(boundary))):
+        to = dict(zip(boundary, perm))
+        trial = sorted((x, to[y], w) if x < base else
+                       (min(to[x], to[y]), max(to[x], to[y]), w)
+                       for x, y, w in moving)
+        if best is None or trial < best:
+            best = trial
+    return tuple(sorted(fixed + best))
+
+
+def member_key(m: AnnotatedPlanar):
+    """``capacity_key`` of ``m``'s dual: its edge weights summed per pair of
+    faces, self-loops dropped, ordinary faces under their original ids and
+    boundary faces from one past the highest of those."""
+    g = m.graph
+    base = max(m.face_map.values()) + 1
+    label = dict(m.face_map)
+    label.update((f, base + i) for i, f in enumerate(sorted(g.boundary_faces)))
+    caps = {}
+    for e, (_, _, w) in enumerate(g.edges):
+        x, y = label[g.face_of(2 * e)], label[g.face_of(2 * e + 1)]
+        if x != y:
+            pair = (x, y) if x < y else (y, x)
+            caps[pair] = caps.get(pair, 0) + w
+    return capacity_key(caps, base)
+
+
 def member_trees(collection: Collection):
-    """One dual cut tree per member, annotation offset already applied."""
-    from .cuttree import dual_cut_tree
-    return [dual_cut_tree(m.graph, m.annotation_weight)
-            for m in collection.members]
+    """One cut tree per member over its ordinary faces, annotation offset
+    already applied.
+
+    Members with equal ``member_key`` have the same dual up to parallel
+    edges, self-loops and the names of boundary faces, so they have the same
+    minimum cuts.  One Gomory-Hu tree is built per key, on the key's
+    capacities with the original faces as terminals, and each member of the
+    key gets it relabelled to its own face ids plus its annotation weight.
+    """
+    by_key = {}
+    trees = []
+    for m in collection.members:
+        key = member_key(m)
+        t = by_key.get(key)
+        if t is None:
+            faces = sorted(m.face_map.values())
+            n = faces[-1] + 1 + len(m.graph.boundary_faces)
+            t = by_key[key] = cuttree.gomory_hu(n, key, terminals=faces)
+        inv = m.face_preimage()
+        offset = m.annotation_weight
+        trees.append(CutTree(
+            tuple(sorted(inv.values())),
+            tuple(sorted((min(inv[u], inv[v]), max(inv[u], inv[v]),
+                          w + offset) for u, v, w in t.edges))))
+    return trees
 
 
 def collection_min_cut(collection: Collection, trees, a: int, b: int):

@@ -256,12 +256,6 @@ class TestIncrementalGomoryHu:
 
 
 class TestDualCutTree:
-    def test_annotation_offset(self):
-        g = gen.planar_triangulation(6, seed=2)
-        t0 = dual_cut_tree(g)
-        t3 = dual_cut_tree(g, annotation_weight=3)
-        assert [w for _, _, w in t3.edges] == [w + 3 for _, _, w in t0.edges]
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_planar_duality(self, seed):
         g = gen.planar_triangulation(7, seed=seed)  # 15 edges

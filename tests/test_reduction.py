@@ -1,9 +1,13 @@
+import itertools
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surfcut import gen, reduction, weights
+from surfcut import cuttree, gen, reduction, weights
+from surfcut.cuttree import dual_cut_tree
 from surfcut.embed import EmbeddedGraph, crosses
 from surfcut.errors import GenusLimitError
 from surfcut.oracle import (
@@ -11,13 +15,15 @@ from surfcut.oracle import (
     min_separating_subgraph_exhaustive,
     separates_faces,
 )
-from surfcut.merge import merged_collection_tree
+from surfcut.merge import merged_collection_tree, project_member_tree
 from surfcut.reduction import (
     Collection,
     answer_bound,
+    capacity_key,
     collection_min_cut,
     expected_size,
     lifted_witness,
+    member_key,
     member_trees,
     planar_collection,
     tight_cycles_all,
@@ -250,3 +256,150 @@ class TestAnswerBoundPruning:
 
     def test_torus10_prunes(self, monkeypatch):
         assert self.compare(random_torus(10, 7, low=10), monkeypatch) == 3
+
+
+def renamed(caps, to):
+    """``caps`` with every face ``f`` renamed ``to.get(f, f)``."""
+    out = {}
+    for (x, y), w in caps.items():
+        x, y = to.get(x, x), to.get(y, y)
+        out[min(x, y), max(x, y)] = w
+    return out
+
+
+@st.composite
+def capacity_maps(draw):
+    """``(base, boundary labels, caps)``: capacities over ordinary faces
+    ``0..base-1`` and one to four boundary faces from ``base`` up."""
+    base = draw(st.integers(1, 5))
+    boundary = list(range(base, base + draw(st.integers(1, 4))))
+    faces = st.sampled_from(list(range(base)) + boundary)
+    pairs = draw(st.lists(
+        st.tuples(faces, faces).filter(lambda p: p[0] != p[1])
+        .map(lambda p: (min(p), max(p))),
+        min_size=1, max_size=12, unique=True))
+    return base, boundary, {p: draw(st.integers(1, 5)) for p in pairs}
+
+
+class TestCapacityKey:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity_maps(), st.data())
+    def test_renaming_boundary_faces_keeps_the_key(self, case, data):
+        base, boundary, caps = case
+        perm = data.draw(st.permutations(boundary))
+        assert capacity_key(renamed(caps, dict(zip(boundary, perm))),
+                           base) == capacity_key(caps, base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity_maps(), st.data())
+    def test_changing_one_capacity_changes_the_key(self, case, data):
+        base, boundary, caps = case
+        pair = data.draw(st.sampled_from(sorted(caps)))
+        changed = dict(caps)
+        changed[pair] += data.draw(st.integers(1, 3))
+        assert capacity_key(changed, base) != capacity_key(caps, base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity_maps())
+    def test_least_full_tuple_over_all_renamings(self, case):
+        # the key compares only the pairs that touch a boundary face; it
+        # must still be the least full sorted tuple over every renaming
+        base, boundary, caps = case
+        used = sorted({f for p in caps for f in p if f >= base})
+        want = min(
+            tuple(sorted((x, y, w) for (x, y), w in renamed(
+                caps, dict(zip(used, perm))).items()))
+            for perm in itertools.permutations(range(base, base + len(used))))
+        assert capacity_key(caps, base) == want
+
+
+def per_member_tree(m):
+    """Each member's tree as built before members were keyed: Gomory-Hu on
+    the member's own dual, with its annotation weight on every edge."""
+    t = dual_cut_tree(m.graph)
+    return t.with_weights([w + m.annotation_weight for _, _, w in t.edges])
+
+
+def path_mins(t):
+    """``t.path_min(x, y)`` for every ordered pair of nodes, one walk from
+    each node."""
+    adj = t.adjacency()
+    out = {}
+    for x in t.nodes:
+        stack = [(x, None)]
+        seen = {x}
+        while stack:
+            u, low = stack.pop()
+            out[x, u] = low
+            for v, w, _ in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append((v, w if low is None else min(low, w)))
+    return out
+
+
+@st.composite
+def weighted_surfaces(draw):
+    """``(kind, graph, perturbed)``: a torus grid k=2..4, the same grid with
+    a handle edge, or the one-vertex double torus, with weights all 1, in
+    1..3 or in 1..100, raw or perturbed."""
+    kind = draw(st.sampled_from(["torus", "handle", "double"]))
+    if kind == "double":
+        g = gen.double_torus_one_vertex()
+    else:
+        k = draw(st.integers(2, 4))
+        g = gen.torus_grid(k)
+        if kind == "handle":
+            g = gen.add_edge_between_faces(g, 0, k * k // 2)
+    top = draw(st.sampled_from([1, 3, 100]))
+    g = g.with_weights(draw(st.lists(
+        st.integers(1, top), min_size=g.edge_count, max_size=g.edge_count)))
+    perturbed = draw(st.booleans())
+    if perturbed:
+        g = weights.perturb_graph(g, draw(st.integers(0, 99)))
+    return kind, g, perturbed
+
+
+class TestMemberTrees:
+    def test_annotation_offset(self):
+        # each member's tree is its key's Gomory-Hu tree, relabelled to the
+        # member's faces, with the annotation weight on every edge
+        coll = planar_collection(random_torus(3, 4))
+        assert any(m.annotation_weight for m in coll.members)
+        for m, t in zip(coll.members, member_trees(coll)):
+            faces = sorted(m.face_map.values())
+            key_tree = cuttree.gomory_hu(
+                faces[-1] + 1 + len(m.graph.boundary_faces), member_key(m),
+                terminals=faces)
+            inv = m.face_preimage()
+            assert sorted(t.edges) == sorted(
+                (min(inv[u], inv[v]), max(inv[u], inv[v]),
+                 w + m.annotation_weight) for u, v, w in key_tree.edges)
+
+    @settings(max_examples=10, deadline=None)
+    @given(weighted_surfaces())
+    def test_keyed_trees_match_per_member_oracle(self, case):
+        kind, g, perturbed = case
+        coll = planar_collection(g)
+        calls = []
+        real = cuttree.gomory_hu
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cuttree, "gomory_hu", counted)
+            trees = member_trees(coll)
+        assert len(calls) == len({member_key(m) for m in coll.members})
+        if kind == "handle":
+            assert len(calls) < len(coll)
+        oracle = [per_member_tree(m) for m in coll.members]
+        for t, o in zip(trees, oracle):
+            assert path_mins(t) == path_mins(o)
+        if perturbed:
+            for m, t, o in zip(coll.members, trees, oracle):
+                assert (project_member_tree(t, m.face_map).cuts()
+                        == project_member_tree(o, m.face_map).cuts())
+            assert (merged_collection_tree(coll, trees).to_json()
+                    == merged_collection_tree(coll, oracle).to_json())
