@@ -68,7 +68,7 @@ def build_tree(g, seed: int):
         tree = dual_cut_tree(pg)
     else:
         coll = planar_collection(pg)
-        tree = merged_collection_tree(coll, member_trees(coll))
+        tree = merged_collection_tree(member_trees(coll))
     return CutTree(tree.nodes, tuple((u, v, weights.restore(w))
                                      for u, v, w in tree.edges),
                    host_checksum(format_graph(g)))

@@ -362,6 +362,13 @@ def cut_along(g: EmbeddedGraph, x) -> EmbeddedGraph:
 
 def cut_along_curves(g: EmbeddedGraph, curves) -> EmbeddedGraph:
     """Cut along an explicit system of non-crossing closed and open curves."""
+    x, chords = check_curves(g, curves)
+    return _rebuild_cut(g, x, chords)
+
+
+def check_curves(g: EmbeddedGraph, curves):
+    """The checks :func:`cut_along_curves` makes before it rebuilds: raises
+    CurveShapeError, else returns the cut edge set and the chord system."""
     for c in curves:
         _validate_walk(g, list(c.darts), closed=isinstance(c, ClosedCurve))
     all_edges = [e for c in curves for e in sorted(c.edge_set())]
@@ -386,7 +393,7 @@ def cut_along_curves(g: EmbeddedGraph, curves) -> EmbeddedGraph:
             chords.append(_end_chord(g, darts[-1], c.end_face, start=False))
 
     _check_noncrossing(g, chords)
-    return _rebuild_cut(g, x, chords)
+    return x, chords
 
 
 def _end_chord(g, d, face, start):
@@ -396,7 +403,6 @@ def _end_chord(g, d, face, start):
     else:
         v, dd = g.dart_head(d), twin(d)
     rot = g.rotations[v]
-    cycle = g.faces()[face]
     # corner i sits between rot[i] and rot[i+1]; it belongs to the face of
     # the dart whose ccw corner it is, i.e. face_of(rot[i+1]).
     for i in range(len(rot)):
@@ -461,7 +467,7 @@ def _rebuild_cut(g, x, chords):
     for v, rot in enumerate(g.rotations):
         corner_cut = {}
         for a, b in per_vertex_chords.get(v, []):
-            for end, other in ((a, b), (b, a)):
+            for end in (a, b):
                 if end[0] == "c":
                     corner_cut[end[2]] = True
         items = []
@@ -595,7 +601,6 @@ def _edge_components(g, edges):
             a = parent[a]
         return a
 
-    vert_comp = {}
     for e in edges:
         u, v, _ = g.edges[e]
         ru, rv = find(("v", u)), find(("v", v))

@@ -9,9 +9,8 @@ node.
 
 Region trees here are rooted trees whose leaves are the host vertices;
 each internal edge carries the weight of the cut given by the leaves below
-it.  A member's cut tree spans exactly its ordinary faces, which map one to
-one onto the original faces, so its projection keeps every cut of the tree;
-a cut tree over the host vertices themselves is the identity projection.
+it.  A member's cut tree already spans exactly the original faces, so its
+region tree keeps every cut of the tree and nothing is relabelled.
 """
 
 from __future__ import annotations
@@ -159,26 +158,14 @@ def leaf_tree_from_cuts(nodes, cuts) -> LeafTree:
     return LeafTree(root, parent)
 
 
-def project_member_tree(t: CutTree, face_map) -> LeafTree:
-    """Project a cut tree over a member's faces onto the original face set.
-
-    Each tree edge's bipartition is restricted to the faces ``face_map``
-    knows about (a member's tree spans only those, its ordinary faces; other
-    nodes drop out); trivial sides vanish and duplicate sides keep their
-    lightest weight.
-    """
-    nodes = sorted(set(face_map.values()))
+def project_member_tree(t: CutTree) -> LeafTree:
+    """The region tree of a cut tree: each tree edge's side, taken without
+    ``min(t.nodes)``, under its weight."""
+    nodes = sorted(t.nodes)
     full = frozenset(nodes)
-    r0 = nodes[0]
     cuts = {}
-    for (_, _, w), part in zip(t.edges, t.bipartitions()):
-        side = frozenset(face_map[f] for f in part if f in face_map)
-        if not side or side == full:
-            continue
-        if r0 in side:
-            side = full - side
-        if side not in cuts or w < cuts[side]:
-            cuts[side] = w
+    for (_, _, w), side in zip(t.edges, t.bipartitions()):
+        cuts[full - side if nodes[0] in side else side] = w
     return leaf_tree_from_cuts(nodes, cuts)
 
 
@@ -283,27 +270,17 @@ def distinct_trees(leaf_trees):
     return out
 
 
-def merge_cut_trees(trees) -> CutTree:
-    """Merge cut trees sharing a node set; queries on the result equal the
-    minimum over the inputs' queries.  Raises CrossingCutsError when two
-    inputs carry crossing minimum cuts."""
+def merged_collection_tree(trees) -> CutTree:
+    """Merge the member cut trees, which share one node set, through their
+    distinct region trees; queries on the result equal the minimum over the
+    inputs' queries.  Raises CrossingCutsError when two inputs carry crossing
+    minimum cuts."""
     if not trees:
         raise ValueError("nothing to merge")
     nodes = sorted(trees[0].nodes)
     for t in trees[1:]:
         if sorted(t.nodes) != nodes:
             raise ValueError("input trees disagree on the node set")
-    identity = {v: v for v in nodes}
-    lts = distinct_trees(project_member_tree(t, identity) for t in trees)
-    detect_crossing_minimum_cuts(lts, nodes)
-    return merge_leaf_trees(lts, nodes)
-
-
-def merged_collection_tree(collection, trees) -> CutTree:
-    """Project each member's cut tree onto the original faces and merge the
-    distinct projections."""
-    lts = distinct_trees(project_member_tree(t, m.face_map)
-                         for m, t in zip(collection.members, trees))
-    nodes = sorted(lts[0].leaves())
+    lts = distinct_trees(project_member_tree(t) for t in trees)
     detect_crossing_minimum_cuts(lts, nodes)
     return merge_leaf_trees(lts, nodes)

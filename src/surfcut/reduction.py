@@ -4,11 +4,11 @@ Each member is produced by a sequence of surgeries: cutting along a tight
 cycle (which drops the genus and records the cycle as an annotation), or
 cutting along a tight cycle together with a tight path between the two fresh
 boundary faces (which also drops the genus but leaves the annotation alone).
-Queries are then answered as a minimum over the members' dual cut trees, with
-each member's annotation weight added as a uniform offset.  Members repeat:
-many have the same dual capacities up to a renaming of their boundary faces,
-so one Gomory-Hu tree is built per class of equal capacities and shared by
-every member of the class.
+A member is kept as its dual over the original face ids, and a pair
+member's last cut is read off the cycle cut's dual instead of being made.
+Queries take the minimum over the members' dual cut trees, each offset by
+its annotation weight.  Members with the same dual capacities up to a
+renaming of their boundary faces share one Gomory-Hu tree.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import itertools
 from dataclasses import dataclass
 
 from . import cuttree
-from .cuttree import CutTree, max_flow_min_cut
+from .cuttree import max_flow_min_cut
 from .embed import (
     EmbeddedGraph,
     OpenCurve,
-    boundary_of_faces,
+    check_curves,
     cut_along_curves,
     dual,
 )
@@ -41,22 +41,17 @@ GENUS_MAX = 2
 class AnnotatedPlanar:
     """A genus-0 member of the collection.
 
-    ``annotation`` holds the cycles cut away on the path down to this member,
-    as edge sets of the original graph; ``annotation_weight`` is their total
-    weight.  ``face_map`` sends each ordinary face of ``graph`` to the
-    original face it came from, and ``edge_map`` sends each edge likewise.
+    ``dual`` has one ``(x, y, w, e)`` per member edge: its two faces (the
+    original ids 0..F-1, or F up for boundary faces), weight and original
+    edge.  ``annotation`` holds the cycles cut away on the way down, as
+    original edge sets; ``annotation_weight`` is their total weight.
     """
 
-    graph: EmbeddedGraph
+    dual: tuple
     annotation: tuple
     annotation_weight: int
-    face_map: dict
-    edge_map: tuple
     provenance: tuple
     cuts: tuple = ()        # per level: ("cycle", C) or ("pair", C, P), original ids
-
-    def face_preimage(self):
-        return {orig: f for f, orig in self.face_map.items()}
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,7 @@ class Collection:
     members: tuple
     attempted: int          # member slots before pruning
     skipped: tuple          # human-readable reasons for pruned slots
+    face_count: int         # F: the input's ordinary faces are 0..F-1
 
     def __len__(self):
         return len(self.members)
@@ -101,6 +97,27 @@ def _cut_cycle(g, walk):
     return h, fresh[0], fresh[1]
 
 
+def labelled_dual(h: EmbeddedGraph, edge_map, face_map, split=None):
+    """``h``'s dual edges ``(x, y, w, e)`` in edge id order: ordinary faces
+    under ``face_map``'s original ids, boundary faces in id order from
+    ``len(face_map)``, ``e`` from ``edge_map``.  With ``split = (b1, b2, path)``, the dual after
+    cutting along ``path`` (edge ids) from boundary face b1 to b2, without
+    the surgery: the cut merges b1 and b2 into one face B and turns each path
+    edge (x, y) into two copies, (x, B) and (B, y)."""
+    b1, b2, path = split or (None, None, ())
+    label = dict(face_map)
+    boundary = sorted(h.boundary_faces - {b2})
+    label.update((f, len(face_map) + i) for i, f in enumerate(boundary))
+    if split:
+        label[b2] = b = label[b1]
+    out = []
+    for i, (_, _, w) in enumerate(h.edges):
+        x, y = label[h.face_of(2 * i)], label[h.face_of(2 * i + 1)]
+        e = edge_map[i]
+        out += [(x, b, w, e), (b, y, w, e)] if i in path else [(x, y, w, e)]
+    return tuple(out)
+
+
 def answer_bound(g: EmbeddedGraph):
     """An upper bound on every face-to-face minimum cut of ``g``: the
     second-largest weighted degree among its ordinary faces, leaving out dual
@@ -120,12 +137,13 @@ def answer_bound(g: EmbeddedGraph):
 def planar_collection(g: EmbeddedGraph) -> Collection:
     """Recursively cut ``g`` down to a collection of annotated planar members.
 
-    Every member keeps composed face and edge maps back to ``g``.  A cycle
-    child whose annotation weight exceeds ``answer_bound(g)`` is not opened:
-    every cut of its subtree's members outweighs every answer, so none of
-    them can win a query or be a minimum cut.  Its slots still count in
-    ``attempted`` and it leaves one skip line.  Raises GenusLimitError above
-    ``GENUS_MAX``.
+    Each surgery keeps composed face and edge maps back to ``g``; a pair
+    member of a genus-0 cycle cut needs none, only ``check_curves`` on its
+    path and a split ``labelled_dual``.  A cycle child whose annotation
+    weight exceeds ``answer_bound(g)`` is not opened: every cut of its
+    subtree's members outweighs every answer, so none of them can win a
+    query or be a minimum cut.  Its slots still count in ``attempted`` and
+    it leaves one skip line.  Raises GenusLimitError above ``GENUS_MAX``.
     """
     if g.genus > GENUS_MAX:
         raise GenusLimitError(
@@ -144,14 +162,15 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
                     if p in parent_face_map}
         return edge_map, face_map
 
-    def recurse(h, edge_map, face_map, annotation, weight, prov, cuts):
+    def recurse(h, edge_map, face_map, annotation, weight, prov, cuts,
+                split=None):
         if h.genus == 0:
             attempted[0] += 1
             if frozenset(face_map.values()) != ordinary:
                 raise AssertionError("member lost an original face")
-            members.append(AnnotatedPlanar(h, tuple(annotation), weight,
-                                           dict(face_map), tuple(edge_map),
-                                           tuple(prov), tuple(cuts)))
+            members.append(AnnotatedPlanar(
+                labelled_dual(h, edge_map, face_map, split),
+                tuple(annotation), weight, tuple(prov), tuple(cuts)))
             return
         slot = expected_size(h.genus - 1)
         where = "/".join(prov) or "root"
@@ -182,30 +201,38 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
             else:
                 recurse(cut, em, fm, annotation + [cyc_orig], child_weight,
                         prov + [f"cycle h={c}"], cuts + [("cycle", cyc_orig)])
+            leaf = cut.genus == 0
             sigs = _inherited_signatures(cut, basis)
             paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
             for target in range(classes):
                 reason = no_path.get(target)
                 if reason is None:
                     darts, _ = paths[target]
+                    curve = [OpenCurve(darts, b1, b2)]
                     try:
-                        both = cut_along_curves(
-                            cut, [OpenCurve(darts, b1, b2)])
+                        if leaf:
+                            check_curves(cut, curve)
+                        else:
+                            both = cut_along_curves(cut, curve)
                     except (SeparatingCutError, CurveShapeError) as exc:
                         reason = exc
                 if reason is not None:
                     attempted[0] += slot
                     skipped.append(f"{where}: pair h={c} p={target}: {reason}")
                     continue
-                path_orig = frozenset(em[d // 2] for d in darts)
-                em2, fm2 = compose(em, fm, both)
-                recurse(both, em2, fm2, annotation, weight,
-                        prov + [f"pair h={c} p={target}"],
-                        cuts + [("pair", cyc_orig, path_orig)])
+                path = {x // 2 for x in darts}
+                args = (annotation, weight, prov + [f"pair h={c} p={target}"],
+                        cuts + [("pair", cyc_orig,
+                                 frozenset(em[e] for e in path))])
+                if leaf:    # the cut graph stands in, split along the path
+                    recurse(cut, em, fm, *args, (b1, b2, path))
+                else:
+                    recurse(both, *compose(em, fm, both), *args)
 
     identity = tuple(range(g.edge_count))
     recurse(g, identity, {f: f for f in ordinary}, [], 0, [], [])
-    return Collection(tuple(members), attempted[0], tuple(skipped))
+    return Collection(tuple(members), attempted[0], tuple(skipped),
+                      len(ordinary))
 
 
 def capacity_key(caps, base):
@@ -236,17 +263,11 @@ def capacity_key(caps, base):
     return tuple(sorted(fixed + best))
 
 
-def member_key(m: AnnotatedPlanar):
+def member_key(m: AnnotatedPlanar, base: int):
     """``capacity_key`` of ``m``'s dual: its edge weights summed per pair of
-    faces, self-loops dropped, ordinary faces under their original ids and
-    boundary faces from one past the highest of those."""
-    g = m.graph
-    base = max(m.face_map.values()) + 1
-    label = dict(m.face_map)
-    label.update((f, base + i) for i, f in enumerate(sorted(g.boundary_faces)))
+    faces, self-loops dropped.  ``base`` is F, the first boundary label."""
     caps = {}
-    for e, (_, _, w) in enumerate(g.edges):
-        x, y = label[g.face_of(2 * e)], label[g.face_of(2 * e + 1)]
+    for x, y, w, _ in m.dual:
         if x != y:
             pair = (x, y) if x < y else (y, x)
             caps[pair] = caps.get(pair, 0) + w
@@ -254,30 +275,26 @@ def member_key(m: AnnotatedPlanar):
 
 
 def member_trees(collection: Collection):
-    """One cut tree per member over its ordinary faces, annotation offset
+    """One cut tree per member over the original faces, annotation offset
     already applied.
 
     Members with equal ``member_key`` have the same dual up to parallel
     edges, self-loops and the names of boundary faces, so they have the same
     minimum cuts.  One Gomory-Hu tree is built per key, on the key's
     capacities with the original faces as terminals, and each member of the
-    key gets it relabelled to its own face ids plus its annotation weight.
+    key gets it with its annotation weight added to every edge.
     """
+    base = collection.face_count
     by_key = {}
     trees = []
     for m in collection.members:
-        key = member_key(m)
+        key = member_key(m, base)
         t = by_key.get(key)
         if t is None:
-            faces = sorted(m.face_map.values())
-            n = faces[-1] + 1 + len(m.graph.boundary_faces)
-            t = by_key[key] = cuttree.gomory_hu(n, key, terminals=faces)
-        inv = m.face_preimage()
+            n = max([base] + [y + 1 for _, y, _ in key])
+            t = by_key[key] = cuttree.gomory_hu(n, key, terminals=range(base))
         offset = m.annotation_weight
-        trees.append(CutTree(
-            tuple(sorted(inv.values())),
-            tuple(sorted((min(inv[u], inv[v]), max(inv[u], inv[v]),
-                          w + offset) for u, v, w in t.edges))))
+        trees.append(t.with_weights([w + offset for _, _, w in t.edges]))
     return trees
 
 
@@ -288,13 +305,13 @@ def collection_min_cut(collection: Collection, trees, a: int, b: int):
     """
     if a == b:
         raise ValueError("the two faces must differ")
+    faces = range(collection.face_count)
+    if a not in faces or b not in faces:
+        raise KeyError(f"face {a if a not in faces else b} is not an "
+                       f"ordinary face of the original graph")
     best = None
-    for i, (m, t) in enumerate(zip(collection.members, trees)):
-        inv = m.face_preimage()
-        if a not in inv or b not in inv:
-            raise KeyError(f"face {a if a not in inv else b} is not an "
-                           f"ordinary face of the original graph")
-        w = t.path_min(inv[a], inv[b])
+    for i, t in enumerate(trees):
+        w = t.path_min(a, b)
         if best is None or w < best[0]:
             best = (w, i)
     if best is None:
@@ -310,11 +327,10 @@ def lifted_witness(member: AnnotatedPlanar, a: int, b: int):
     The face side is the residual source side of one max-flow on the
     member's dual, which is the unique minimum cut under the perturbation.
     """
-    inv = member.face_preimage()
-    d = dual(member.graph)
-    _, side = max_flow_min_cut(d.vertex_count, d.edges, inv[a], inv[b])
-    cut = boundary_of_faces(side, member.graph)
-    lifted = {member.edge_map[e] for e in cut}
+    n = 1 + max(max(x, y) for x, y, _, _ in member.dual)
+    _, side = max_flow_min_cut(
+        n, [(x, y, w) for x, y, w, _ in member.dual], a, b)
+    lifted = {e for x, y, _, e in member.dual if (x in side) != (y in side)}
     for cyc in member.annotation:
         lifted |= cyc
     return frozenset(lifted)

@@ -16,7 +16,7 @@ from surfcut.homology import (
     tight_cycle,
 )
 from surfcut.hpath import SplitStats, build_hpath, find_split_point
-from surfcut.merge import merge_cut_trees, merged_collection_tree
+from surfcut.merge import merged_collection_tree
 from surfcut.oracle import (
     is_simple_cycle,
     min_face_cut,
@@ -141,7 +141,7 @@ def test_criterion_4_tight_cycle_table():
 def test_criterion_5_merged_trees_exact(torus_instances):
     instances, _ = torus_instances
     for g, pg, coll, trees in instances:
-        merged = merged_collection_tree(coll, trees)
+        merged = merged_collection_tree(trees)
         faces = sorted(g.ordinary_faces())
         for a, b in itertools.combinations(faces, 2):
             got = merged.path_min(a, b)
@@ -159,7 +159,7 @@ def test_criterion_5_merged_trees_exact(torus_instances):
                                  seed * 31 + i)
             inputs.append(CutTree(tuple(range(n)), tuple(
                 sorted((u, v, w) for (u, v), w in zip(base, ws)))))
-        merged = merge_cut_trees(inputs)
+        merged = merged_collection_tree(inputs)
         for x, y in itertools.combinations(range(n), 2):
             assert merged.path_min(x, y) == min(t.path_min(x, y)
                                                 for t in inputs)

@@ -9,7 +9,6 @@ from surfcut.errors import CrossingCutsError
 from surfcut.merge import (
     LeafTree,
     leaf_tree_from_cuts,
-    merge_cut_trees,
     merged_collection_tree,
     project_member_tree,
 )
@@ -18,8 +17,8 @@ from surfcut.reduction import member_trees, planar_collection
 
 
 def region_tree(t):
-    """The region tree of a cut tree: its projection onto its own nodes."""
-    return project_member_tree(t, {v: v for v in t.nodes})
+    """The region tree of a cut tree over its own nodes."""
+    return project_member_tree(t)
 
 
 def tree_cuts(lt: LeafTree):
@@ -115,17 +114,17 @@ class TestRestrict:
 class TestMerge:
     def test_single_input_identity(self):
         t = random_perturbed_tree(10, 3)
-        assert merge_cut_trees([t]).edges == t.edges
+        assert merged_collection_tree([t]).edges == t.edges
 
     def test_identical_inputs(self):
         t = random_perturbed_tree(9, 4)
-        assert merge_cut_trees([t, t, t]).edges == t.edges
+        assert merged_collection_tree([t, t, t]).edges == t.edges
 
     def test_node_set_mismatch(self):
         a = CutTree((0, 1), ((0, 1, 3),))
         b = CutTree((0, 2), ((0, 2, 3),))
         with pytest.raises(ValueError):
-            merge_cut_trees([a, b])
+            merged_collection_tree([a, b])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_shared_topology_matches_min(self, seed):
@@ -139,7 +138,7 @@ class TestMerge:
                                  seed * 31 + i)
             trees.append(CutTree(tuple(range(n)), tuple(
                 sorted((u, v, w) for (u, v), w in zip(base, ws)))))
-        merged = merge_cut_trees(trees)
+        merged = merged_collection_tree(trees)
         for x, y in itertools.combinations(range(n), 2):
             assert merged.path_min(x, y) == min(t.path_min(x, y)
                                                 for t in trees)
@@ -151,7 +150,7 @@ class TestMerge:
         base = trees[0]
         other = base.with_weights(
             weights.perturb([3] * len(base.edges), 99))
-        merged = merge_cut_trees([base, other])
+        merged = merged_collection_tree([base, other])
         sides = [merged.bipartition(i) for i in range(len(merged.edges))]
         universe = frozenset(range(15))
         for p, q in itertools.combinations(sides, 2):
@@ -165,7 +164,7 @@ class TestMerge:
             ws = weights.perturb([rng.randint(1, 30) for _ in base], i)
             trees.append(CutTree(tuple(range(20)), tuple(
                 sorted((u, v, w) for (u, v), w in zip(base, ws)))))
-        merged = merge_cut_trees(trees)
+        merged = merged_collection_tree(trees)
         for t in trees:
             for i, (_, _, w) in enumerate(t.edges):
                 side = t.bipartition(i)
@@ -177,7 +176,7 @@ class TestMerge:
         t1 = CutTree((0, 1, 2, 3), ((0, 1, 5), (1, 2, 1), (2, 3, 5)))
         t2 = CutTree((0, 1, 2, 3), ((0, 2, 5), (1, 2, 1), (1, 3, 5)))
         with pytest.raises(CrossingCutsError):
-            merge_cut_trees([t1, t2])
+            merged_collection_tree([t1, t2])
 
 
 class TestCollectionMerge:
@@ -189,7 +188,7 @@ class TestCollectionMerge:
         g = gen.torus_grid(k, weights=w)
         coll = planar_collection(weights.perturb_graph(g, seed=seed))
         trees = member_trees(coll)
-        merged = merged_collection_tree(coll, trees)
+        merged = merged_collection_tree(trees)
         faces = sorted(g.ordinary_faces())
         assert sorted(merged.nodes) == faces
         for a, b in itertools.combinations(faces, 2):
@@ -200,9 +199,10 @@ class TestCollectionMerge:
         g = gen.torus_grid(3)
         coll = planar_collection(weights.perturb_graph(g, seed=2))
         trees = member_trees(coll)
-        m, t = coll.members[0], trees[0]
-        lt = project_member_tree(t, m.face_map)
-        assert lt.leaves() == frozenset(g.ordinary_faces())
+        # member trees span the original faces and no boundary face
+        for t in trees:
+            assert project_member_tree(t).leaves() == frozenset(
+                g.ordinary_faces())
 
 
 class TestLeafTreeFromCuts:

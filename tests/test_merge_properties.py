@@ -23,8 +23,8 @@ from surfcut.merge import (  # noqa: E402
     _nkey,
     detect_crossing_minimum_cuts,
     leaf_tree_from_cuts,
-    merge_cut_trees,
     merge_leaf_trees,
+    merged_collection_tree,
     project_member_tree,
 )
 
@@ -32,8 +32,26 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def region_tree(t):
-    """The region tree of a cut tree: its projection onto its own nodes."""
-    return project_member_tree(t, {v: v for v in t.nodes})
+    """The region tree of a cut tree over its own nodes."""
+    return project_member_tree(t)
+
+
+def restricted_region_tree(t, n):
+    """The region tree of ``t``'s cuts restricted to nodes ``0..n-1``: each
+    side loses the other nodes, trivial sides vanish and duplicate sides
+    keep their lightest weight."""
+    nodes = list(range(n))
+    full = frozenset(nodes)
+    cuts = {}
+    for (_, _, w), part in zip(t.edges, t.bipartitions()):
+        side = part & full
+        if not side or side == full:
+            continue
+        if 0 in side:
+            side = full - side
+        if side not in cuts or w < cuts[side]:
+            cuts[side] = w
+    return leaf_tree_from_cuts(nodes, cuts)
 
 
 @st.composite
@@ -242,7 +260,7 @@ def merge_inputs(draw):
         t = draw(cut_trees(n + extra, max_weight=4))
         if perturb:
             t = perturbed(t, n)
-        lts.append(project_member_tree(t, {v: v for v in range(n)}))
+        lts.append(restricted_region_tree(t, n))
     return lts, list(range(n)), perturb
 
 
@@ -315,8 +333,8 @@ def test_duplicate_inputs_merge_like_distinct(trees, data):
     picks = data.draw(st.lists(st.sampled_from(range(len(trees))),
                                max_size=8))
     dup = trees + [trees[i] for i in picks]
-    want = merge_cut_trees(trees)
-    assert merge_cut_trees(dup) == want
+    want = merged_collection_tree(trees)
+    assert merged_collection_tree(dup) == want
     nodes = sorted(trees[0].nodes)
     every = [region_tree(t) for t in dup]
     assert merge_leaf_trees(every, nodes) == want

@@ -1,14 +1,20 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfcut import cuttree, gen, reduction, weights
-from surfcut.cuttree import dual_cut_tree
-from surfcut.embed import EmbeddedGraph, crosses
+from surfcut.embed import (
+    EmbeddedGraph,
+    crosses,
+    cut_along_curves,
+    edge_of,
+    side_of,
+)
 from surfcut.errors import GenusLimitError
 from surfcut.oracle import (
     min_face_cut,
@@ -54,7 +60,9 @@ class TestPlanarCollection:
         m = coll.members[0]
         assert m.annotation == ()
         assert m.annotation_weight == 0
-        assert m.face_map == {f: f for f in g.ordinary_faces()}
+        assert coll.face_count == g.face_count
+        assert m.dual == tuple((g.face_of(2 * e), g.face_of(2 * e + 1), w, e)
+                               for e, (_, _, w) in enumerate(g.edges))
 
     def test_genus_one_twenty_slots(self):
         coll = planar_collection(gen.torus_grid(3))
@@ -65,10 +73,17 @@ class TestPlanarCollection:
     def test_members_are_planar_and_keep_faces(self):
         g = gen.torus_grid(4)
         coll = planar_collection(g)
-        ordinary = frozenset(g.ordinary_faces())
+        ordinary = set(g.ordinary_faces())
         for m in coll.members:
-            assert m.graph.genus == 0
-            assert frozenset(m.face_map.values()) == ordinary
+            faces = {f for x, y, _, _ in m.dual for f in (x, y)}
+            assert faces & ordinary == ordinary
+            assert faces - ordinary == set(range(len(ordinary), len(faces)))
+            # Euler's formula for the cut graph: cutting along a closed walk
+            # of k edges adds k vertices, along a path of k edges k + 1
+            vertices = g.vertex_count + sum(
+                len(c[1]) + (len(c[2]) + 1 if c[0] == "pair" else 0)
+                for c in m.cuts)
+            assert vertices - len(m.dual) + len(faces) == 2
             assert len(m.annotation) <= 1  # original genus
 
     def test_genus_limit(self):
@@ -84,6 +99,15 @@ class TestCollectionMinCut:
         coll, trees = build(gen.torus_grid(3))
         with pytest.raises(ValueError):
             collection_min_cut(coll, trees, 2, 2)
+
+    @pytest.mark.parametrize("a, b, bad", [(0, 9, 9), (-1, 2, -1),
+                                           (12, 3, 12)])
+    def test_face_outside_the_original_faces_rejected(self, a, b, bad):
+        coll, trees = build(gen.torus_grid(3))
+        assert coll.face_count == 9
+        with pytest.raises(KeyError, match=f"face {bad} is not an ordinary "
+                           f"face of the original graph"):
+            collection_min_cut(coll, trees, a, b)
 
     def test_unit_torus_matches_exhaustive(self):
         g = gen.torus_grid(3)
@@ -239,9 +263,9 @@ class TestAnswerBoundPruning:
         assert [m.provenance for m in pruned.members] == [
             m.provenance for m in full.members
             if m.annotation_weight <= bound]
-        tree = merged_collection_tree(pruned, member_trees(pruned))
+        tree = merged_collection_tree(member_trees(pruned))
         assert tree.to_json() == merged_collection_tree(
-            full, member_trees(full)).to_json()
+            member_trees(full)).to_json()
         assert max(w for _, _, w in tree.edges) <= bound
         return len(lines)
 
@@ -313,10 +337,17 @@ class TestCapacityKey:
         assert capacity_key(caps, base) == want
 
 
-def per_member_tree(m):
+def face_count(m):
+    """The faces of a member: one past its highest dual label."""
+    return 1 + max(max(x, y) for x, y, _, _ in m.dual)
+
+
+def per_member_tree(m, base):
     """Each member's tree as built before members were keyed: Gomory-Hu on
-    the member's own dual, with its annotation weight on every edge."""
-    t = dual_cut_tree(m.graph)
+    the member's own unsummed dual edges, with the ``base`` original faces
+    as terminals and its annotation weight on every edge."""
+    t = cuttree.gomory_hu(face_count(m), [(x, y, w) for x, y, w, _ in m.dual],
+                          terminals=range(base))
     return t.with_weights([w + m.annotation_weight for _, _, w in t.edges])
 
 
@@ -362,19 +393,17 @@ def weighted_surfaces(draw):
 
 class TestMemberTrees:
     def test_annotation_offset(self):
-        # each member's tree is its key's Gomory-Hu tree, relabelled to the
-        # member's faces, with the annotation weight on every edge
+        # each member's tree is its key's Gomory-Hu tree over the original
+        # faces, with the annotation weight on every edge
         coll = planar_collection(random_torus(3, 4))
         assert any(m.annotation_weight for m in coll.members)
+        base = coll.face_count
         for m, t in zip(coll.members, member_trees(coll)):
-            faces = sorted(m.face_map.values())
-            key_tree = cuttree.gomory_hu(
-                faces[-1] + 1 + len(m.graph.boundary_faces), member_key(m),
-                terminals=faces)
-            inv = m.face_preimage()
-            assert sorted(t.edges) == sorted(
-                (min(inv[u], inv[v]), max(inv[u], inv[v]),
-                 w + m.annotation_weight) for u, v, w in key_tree.edges)
+            key_tree = cuttree.gomory_hu(face_count(m), member_key(m, base),
+                                         terminals=range(base))
+            assert t.nodes == key_tree.nodes == tuple(range(base))
+            assert t.edges == tuple((u, v, w + m.annotation_weight)
+                                    for u, v, w in key_tree.edges)
 
     @settings(max_examples=10, deadline=None)
     @given(weighted_surfaces())
@@ -391,15 +420,83 @@ class TestMemberTrees:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cuttree, "gomory_hu", counted)
             trees = member_trees(coll)
-        assert len(calls) == len({member_key(m) for m in coll.members})
+        base = coll.face_count
+        assert len(calls) == len({member_key(m, base) for m in coll.members})
         if kind == "handle":
             assert len(calls) < len(coll)
-        oracle = [per_member_tree(m) for m in coll.members]
+        oracle = [per_member_tree(m, base) for m in coll.members]
         for t, o in zip(trees, oracle):
             assert path_mins(t) == path_mins(o)
         if perturbed:
-            for m, t, o in zip(coll.members, trees, oracle):
-                assert (project_member_tree(t, m.face_map).cuts()
-                        == project_member_tree(o, m.face_map).cuts())
-            assert (merged_collection_tree(coll, trees).to_json()
-                    == merged_collection_tree(coll, oracle).to_json())
+            for t, o in zip(trees, oracle):
+                assert (project_member_tree(t).cuts()
+                        == project_member_tree(o).cuts())
+            assert (merged_collection_tree(trees).to_json()
+                    == merged_collection_tree(oracle).to_json())
+
+
+def handle_grid(k):
+    return gen.add_edge_between_faces(gen.torus_grid(k), 0, k * k // 2)
+
+
+class TestPairDerivation:
+    """A pair member whose cycle cut has genus 0 is derived from the cut
+    graph's dual; cutting along its path gives the same dual edges."""
+
+    @settings(max_examples=10, deadline=None)
+    @example(("double", gen.double_torus_one_vertex(), False))
+    @example(("handle", handle_grid(2), False))
+    @example(("torus", gen.torus_grid(3), False))
+    @given(weighted_surfaces())
+    def test_derived_duals_match_the_surgery(self, case):
+        _, g, _ = case
+        checked, derived = [], []
+        real_check, real_dual = reduction.check_curves, reduction.labelled_dual
+
+        def check(h, curves):
+            out = real_check(h, curves)
+            checked.append(curves[0])
+            return out
+
+        def labelled(h, edge_map, face_map, split=None):
+            out = real_dual(h, edge_map, face_map, split)
+            if split is not None:
+                derived.append((h, edge_map, face_map, split, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "check_curves", check)
+            mp.setattr(reduction, "labelled_dual", labelled)
+            coll = planar_collection(g)
+        pairs = [m for m in coll.members if m.cuts[-1][0] == "pair"]
+        assert len(pairs) == len(checked) == len(derived)
+        for m, curve, (cut, em, fm, split, d) in zip(pairs, checked, derived):
+            b1, b2, path = split
+            assert m.dual == d
+            assert (curve.start_face, curve.end_face) == (b1, b2)
+            assert path == curve.edge_set()
+            # the labels of the cut graph's faces, b1 and b2 merged
+            label = {}
+            for i, (x, y, _, _) in enumerate(real_dual(cut, em, fm,
+                                                       (b1, b2, ()))):
+                label[cut.face_of(2 * i)] = x
+                label[cut.face_of(2 * i + 1)] = y
+            # the surgery the derivation skips; it must not fail once the
+            # path passed the checks
+            both = cut_along_curves(cut, [curve])
+            assert both.genus == 0
+            # a face of the cut graph keeps its darts; the one fresh face,
+            # the merged boundary, takes the label of b1 and b2
+            old = {frozenset(c): f for f, c in enumerate(cut.faces())}
+            oem = both.origin_edge_map
+            relabel, fresh = {}, 0
+            for f, darts in enumerate(both.faces()):
+                key = frozenset(2 * oem[edge_of(x)] + side_of(x)
+                                for x in darts)
+                fresh += key not in old
+                relabel[f] = label[old.get(key, b1)]
+            assert fresh == 1
+            want = [(relabel[both.face_of(2 * i)],
+                     relabel[both.face_of(2 * i + 1)], w, em[oem[i]])
+                    for i, (_, _, w) in enumerate(both.edges)]
+            assert Counter(m.dual) == Counter(want)
