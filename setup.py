@@ -1,20 +1,6 @@
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-# The compiled Dinic kernel is optional: surfcut falls back to the pure-Python
-# implementation at import time if the extension is unavailable.
-try:
-    from Cython.Build import cythonize
-    from setuptools.extension import Extension
-
-    extensions = cythonize(
-        [Extension("surfcut._dinic", ["src/surfcut/_dinic.pyx"])],
-        compiler_directives={"language_level": 3},
-    )
-except ImportError:
-    print("cython not found; building without the compiled max-flow kernel",
-          file=sys.stderr)
-    extensions = []
-
-setup(ext_modules=extensions)
+# The compiled Dinic kernel is optional: if the shipped C file does not build,
+# surfcut falls back to the pure-Python implementation at import time.
+setup(ext_modules=[Extension("surfcut._dinic", ["src/surfcut/_dinic.c"],
+                             optional=True)])

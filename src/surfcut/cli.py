@@ -6,7 +6,8 @@ index from the stored tree and answers each pair line in O(1).
 Global flags are ``--seed`` and ``--format``.  Exit codes: 0 success, 2
 input failure (a malformed graph or artifact, or a bad query pair line), 3
 genus above ``reduction.GENUS_MAX`` (2), 4 crossing minimum cuts during
-merge, 5 too many edges for the weight perturbation.
+merge.  No edge count is refused: the weight perturbation's scale grows
+with the instance.
 """
 
 from __future__ import annotations
@@ -22,19 +23,16 @@ from .embed import dual, format_graph, parse_graph
 from .errors import (
     CrossingCutsError,
     GenusLimitError,
-    InstanceTooLargeError,
     QueryInputError,
     SurfcutError,
 )
 from .merge import merged_collection_tree
-from .oracle import min_face_cut
 from .query import build_index, min_cut_query
 from .reduction import member_trees, planar_collection
 
 EXIT_PARSE = 2
 EXIT_GENUS = 3
 EXIT_CROSSING = 4
-EXIT_TOO_LARGE = 5
 
 
 def _read(path):
@@ -69,8 +67,9 @@ def build_tree(g, seed: int):
     else:
         coll = planar_collection(pg)
         tree = merged_collection_tree(member_trees(coll))
-    return CutTree(tree.nodes, tuple((u, v, weights.restore(w))
-                                     for u, v, w in tree.edges),
+    return CutTree(tree.nodes,
+                   tuple((u, v, weights.restore(w, g.edge_count))
+                         for u, v, w in tree.edges),
                    host_checksum(format_graph(g)))
 
 
@@ -124,14 +123,8 @@ def cmd_verify(args):
     faces = sorted(g.ordinary_faces())
     check("tree-spans-ordinary-faces", sorted(tree.nodes) == faces)
     d = dual(g)
-    dedges = [(u, v, w) for u, v, w in d.edges]
-    if g.genus == 0:
-        check("tree-weights-and-pairs",
-              not validate_cut_tree(tree, d.vertex_count, dedges))
-    else:
-        ok = all(tree.path_min(a, b) == min_face_cut(g, a, b)[0]
-                 for i, a in enumerate(faces) for b in faces[i + 1:])
-        check("pairs-match-dual-max-flow", ok)
+    check("tree-weights-and-pairs",
+          not validate_cut_tree(tree, d.vertex_count, list(d.edges)))
     again = build_tree(g, args.seed)
     check("deterministic-rebuild", again == tree)
     lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report]
@@ -199,9 +192,6 @@ def main(argv=None):
     except CrossingCutsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSING
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
     except (SurfcutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

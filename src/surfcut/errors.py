@@ -26,11 +26,6 @@ class CurveShapeError(SurfcutError):
     """Edge set or curve system that surgery cannot cut along."""
 
 
-class InstanceTooLargeError(SurfcutError):
-    """Too many edges for distinct residues that keep the weight
-    perturbation's cut weights exact."""
-
-
 class GenusLimitError(SurfcutError):
     """Input genus exceeds ``reduction.GENUS_MAX``."""
 

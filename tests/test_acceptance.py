@@ -113,7 +113,8 @@ def test_criterion_3_torus_collections_match_dual_oracle(torus_instances):
         faces = sorted(g.ordinary_faces())
         for a, b in itertools.combinations(faces, 2):
             val, mi = collection_min_cut(coll, trees, a, b)
-            assert weights.restore(val) == min_face_cut(g, a, b)[0]
+            assert weights.restore(val, g.edge_count) == \
+                min_face_cut(g, a, b)[0]
             lifted = lifted_witness(coll.members[mi], a, b)
             assert separates_faces(lifted, pg, a, b)
             pairs_checked += 1
@@ -146,7 +147,8 @@ def test_criterion_5_merged_trees_exact(torus_instances):
         for a, b in itertools.combinations(faces, 2):
             got = merged.path_min(a, b)
             assert got == collection_min_cut(coll, trees, a, b)[0]
-            assert weights.restore(got) == min_face_cut(g, a, b)[0]
+            assert weights.restore(got, g.edge_count) == \
+                min_face_cut(g, a, b)[0]
     synthetic = 0
     for seed in range(100):
         rng = random.Random(seed + 1000)

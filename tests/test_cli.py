@@ -15,6 +15,26 @@ def run(argv):
     return cli.main(argv)
 
 
+def all_path_mins(edges):
+    """Minimum edge weight on the tree path of every ordered node pair."""
+    adj = {}
+    for u, v, w in edges:
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    out = {}
+    for x in adj:
+        stack = [(x, None)]
+        seen = {x}
+        while stack:
+            u, m = stack.pop()
+            for v, w in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    out[x, v] = w if m is None else min(m, w)
+                    stack.append((v, out[x, v]))
+    return out
+
+
 @pytest.fixture
 def torus_file(tmp_path):
     path = tmp_path / "t3.graph"
@@ -96,17 +116,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert message in captured.err
         assert "Traceback" not in captured.err
-
-    def test_instance_too_large(self, tmp_path, capsys):
-        path = tmp_path / "p200.graph"
-        assert run(["gen", "planar", "--size", "200", "-o", str(path)]) == 0
-        assert parse_graph(path.read_text()).edge_count == 594
-        capsys.readouterr()
-        assert run(["build", str(path)]) == 5
-        err = capsys.readouterr().err
-        assert err.startswith("error: 594 edges exceed the 511-edge limit")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
 
     def test_crossing_cuts(self, torus_file, monkeypatch, capsys):
         def boom(*a, **k):
@@ -206,6 +215,41 @@ class TestBuildQuery:
         assert run(["query", str(legacy), str(pairs_path)]) == 0
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("gen_argv, edges", [
+        pytest.param(["planar", "--size", "200"], 594, id="planar200"),
+        pytest.param(None, 512, id="torus16-unit"),
+        pytest.param(["torus", "--size", "16"], 512, id="torus16-random"),
+    ])
+    def test_build_above_old_ceiling(self, tmp_path, gen_argv, edges):
+        """Builds past 511 edges exit 0 and match networkx's Gomory-Hu tree
+        of the unperturbed dual on every face pair."""
+        nx = pytest.importorskip("networkx")
+        graph_path = tmp_path / "big.graph"
+        if gen_argv is None:
+            graph_path.write_text(format_graph(gen.torus_grid(16)))
+        else:
+            assert run(["--seed", "1", "gen", *gen_argv,
+                        "-o", str(graph_path)]) == 0
+        g = parse_graph(graph_path.read_text())
+        assert g.edge_count == edges
+        tree_path = tmp_path / "tree.json"
+        assert run(["--seed", "1", "build", str(graph_path),
+                    "-o", str(tree_path)]) == 0
+        payload = json.loads(tree_path.read_text())
+        tree = CutTree.from_json(json.dumps(payload["tree"]))
+
+        d = dual(g)
+        dg = nx.Graph()
+        dg.add_nodes_from(range(d.vertex_count))
+        for u, v, w in d.edges:
+            if u != v:
+                cap = dg.get_edge_data(u, v, {"capacity": 0})["capacity"]
+                dg.add_edge(u, v, capacity=cap + w)
+        gh = nx.gomory_hu_tree(dg)
+        want = all_path_mins((u, v, w) for u, v, w in
+                             gh.edges(data="weight"))
+        assert all_path_mins(tree.edges) == want
+
     @pytest.mark.parametrize("argv", [
         ["--lca", "sparse", "query", "tree.json", "pairs.txt"],
         ["bench"],
@@ -233,7 +277,13 @@ class TestDeterminism:
         run(["--seed", "2", "gen", "torus", "--size", "4", "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_verify_reports_determinism(self, torus_file, capsys):
-        assert run(["--seed", "1", "verify", str(torus_file)]) == 0
-        assert "deterministic-rebuild: pass" in capsys.readouterr().out
+    def test_verify_reports_determinism(self, torus_file, tmp_path, capsys):
+        handle_file = tmp_path / "h3.graph"
+        handle_file.write_text(format_graph(
+            gen.add_edge_between_faces(gen.torus_grid(3), 0, 4)))
+        for path in (torus_file, handle_file):
+            assert run(["--seed", "1", "verify", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "deterministic-rebuild: pass" in out
+            assert out.count(": pass\n") == 3
 

@@ -192,7 +192,7 @@ class TestCollectionMerge:
         faces = sorted(g.ordinary_faces())
         assert sorted(merged.nodes) == faces
         for a, b in itertools.combinations(faces, 2):
-            assert weights.restore(merged.path_min(a, b)) == \
+            assert weights.restore(merged.path_min(a, b), g.edge_count) == \
                 min_face_cut(g, a, b)[0]
 
     def test_projection_drops_boundary_faces(self):

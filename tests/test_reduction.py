@@ -132,7 +132,8 @@ class TestCollectionMinCut:
                 if a >= b:
                     continue
                 val, _ = collection_min_cut(coll, trees, a, b)
-                assert weights.restore(val) == min_face_cut(g, a, b)[0]
+                assert weights.restore(val, g.edge_count) == \
+                    min_face_cut(g, a, b)[0]
 
     def test_genus_two_matches_dual_oracle(self):
         g1 = gen.torus_grid(2)
@@ -150,7 +151,8 @@ class TestCollectionMinCut:
         for i, a in enumerate(faces):
             for b in faces[i + 1:]:
                 val, _ = collection_min_cut(coll, trees, a, b)
-                assert weights.restore(val) == min_face_cut(g, a, b)[0]
+                assert weights.restore(val, g.edge_count) == \
+                    min_face_cut(g, a, b)[0]
 
     def test_uniform_weight_shift(self):
         # with unit weights the answer equals the cut cardinality, so adding
