@@ -10,7 +10,9 @@ node.
 Region trees here are rooted trees whose leaves are the host vertices;
 each internal edge carries the weight of the cut given by the leaves below
 it.  A member's cut tree already spans exactly the original faces, so its
-region tree keeps every cut of the tree and nothing is relabelled.
+region tree is the tree itself rooted at its least node, with one leaf hung
+under every node.  Members with equal tree edges hold equal cuts, so only
+the first of each edge set is cross-checked and merged.
 """
 
 from __future__ import annotations
@@ -159,14 +161,25 @@ def leaf_tree_from_cuts(nodes, cuts) -> LeafTree:
 
 
 def project_member_tree(t: CutTree) -> LeafTree:
-    """The region tree of a cut tree: each tree edge's side, taken without
-    ``min(t.nodes)``, under its weight."""
-    nodes = sorted(t.nodes)
-    full = frozenset(nodes)
-    cuts = {}
-    for (_, _, w), side in zip(t.edges, t.bipartitions()):
-        cuts[full - side if nodes[0] in side else side] = w
-    return leaf_tree_from_cuts(nodes, cuts)
+    """The region tree of a cut tree, from one walk rooted at ``min(t.nodes)``:
+    every other node gets a region under its tree parent's region, weighted
+    by the edge between them, and every node's leaf hangs under its own
+    region (the root node's under the root).  So each region's leaves are one
+    tree edge's side without ``min(t.nodes)``."""
+    adj = t.adjacency()
+    first = min(t.nodes)
+    region = {first: _fresh()}
+    parent = {region[first]: None}
+    order = [first]
+    for x in order:
+        for y, w, _ in adj[x]:
+            if y not in region:
+                region[y] = _fresh()
+                parent[region[y]] = (region[x], w)
+                order.append(y)
+    for v in t.nodes:
+        parent[v] = (region[v], None)
+    return LeafTree(region[first], parent)
 
 
 def _all_pairs_query(trees, nodes):
@@ -257,30 +270,20 @@ def merge_leaf_trees(leaf_trees, nodes) -> CutTree:
         (min(s, p[s]), max(s, p[s]), weight[s]) for s in nodes[1:])))
 
 
-def distinct_trees(leaf_trees):
-    """The first tree of each set of trees holding the same cuts, in input
-    order.  Such trees give the same crossing verdict and the same merge."""
-    seen = set()
-    out = []
-    for t in leaf_trees:
-        key = t.cuts()
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    return out
-
-
 def merged_collection_tree(trees) -> CutTree:
-    """Merge the member cut trees, which share one node set, through their
-    distinct region trees; queries on the result equal the minimum over the
-    inputs' queries.  Raises CrossingCutsError when two inputs carry crossing
-    minimum cuts."""
+    """Merge the member cut trees, which share one node set, through the
+    region trees of their distinct edge sets, first of each in input order;
+    queries on the result equal the minimum over the inputs' queries.
+    Raises CrossingCutsError when two inputs carry crossing minimum cuts."""
     if not trees:
         raise ValueError("nothing to merge")
     nodes = sorted(trees[0].nodes)
     for t in trees[1:]:
         if sorted(t.nodes) != nodes:
             raise ValueError("input trees disagree on the node set")
-    lts = distinct_trees(project_member_tree(t) for t in trees)
+    distinct = {}
+    for t in trees:     # every member is projected, as surfbench counts
+        distinct.setdefault(frozenset(t.edges), project_member_tree(t))
+    lts = list(distinct.values())
     detect_crossing_minimum_cuts(lts, nodes)
     return merge_leaf_trees(lts, nodes)

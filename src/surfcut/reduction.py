@@ -7,13 +7,12 @@ boundary faces (which also drops the genus but leaves the annotation alone).
 A member is kept as its dual over the original face ids, and a pair
 member's last cut is read off the cycle cut's dual instead of being made.
 Queries take the minimum over the members' dual cut trees, each offset by
-its annotation weight.  Members with the same dual capacities up to a
-renaming of their boundary faces share one Gomory-Hu tree.
+its annotation weight.  Members with the same dual capacities, summed per
+face pair, share one Gomory-Hu tree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import cuttree
@@ -235,43 +234,15 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
                       len(ordinary))
 
 
-def capacity_key(caps, base):
-    """Canonical form of a member dual's capacities.
-
-    ``caps`` maps face pairs ``(x, y)``, ``x < y``, to summed capacities.
-    Faces below ``base`` keep their ids; the others are boundary faces, which
-    are renumbered ``base, base + 1, ...`` by the permutation that makes the
-    sorted ``(x, y, w)`` tuple lexicographically least.  So two maps get the
-    same key exactly when one is the other with its boundary faces renamed.
-    """
-    fixed, moving = [], []
-    for (x, y), w in caps.items():
-        (moving if y >= base else fixed).append((x, y, w))
-    boundary = sorted({f for x, y, _ in moving for f in (x, y) if f >= base})
-    # The pairs between ordinary faces are the same under every renaming,
-    # and equal-length sorted sequences that share a sub-multiset compare as
-    # their remainders do, so comparing the moving pairs alone picks the
-    # same renaming.
-    best = None
-    for perm in itertools.permutations(range(base, base + len(boundary))):
-        to = dict(zip(boundary, perm))
-        trial = sorted((x, to[y], w) if x < base else
-                       (min(to[x], to[y]), max(to[x], to[y]), w)
-                       for x, y, w in moving)
-        if best is None or trial < best:
-            best = trial
-    return tuple(sorted(fixed + best))
-
-
-def member_key(m: AnnotatedPlanar, base: int):
-    """``capacity_key`` of ``m``'s dual: its edge weights summed per pair of
-    faces, self-loops dropped.  ``base`` is F, the first boundary label."""
+def member_key(m: AnnotatedPlanar):
+    """``m``'s dual capacities as a sorted ``(x, y, w)`` tuple, ``x < y``:
+    its edge weights summed per pair of faces, self-loops dropped."""
     caps = {}
     for x, y, w, _ in m.dual:
         if x != y:
             pair = (x, y) if x < y else (y, x)
             caps[pair] = caps.get(pair, 0) + w
-    return capacity_key(caps, base)
+    return tuple(sorted((x, y, w) for (x, y), w in caps.items()))
 
 
 def member_trees(collection: Collection):
@@ -279,16 +250,16 @@ def member_trees(collection: Collection):
     already applied.
 
     Members with equal ``member_key`` have the same dual up to parallel
-    edges, self-loops and the names of boundary faces, so they have the same
-    minimum cuts.  One Gomory-Hu tree is built per key, on the key's
-    capacities with the original faces as terminals, and each member of the
-    key gets it with its annotation weight added to every edge.
+    edges and self-loops, so they have the same minimum cuts.  One
+    Gomory-Hu tree is built per key, on the key's capacities with the
+    original faces as terminals, and each member of the key gets it with its
+    annotation weight added to every edge.
     """
     base = collection.face_count
     by_key = {}
     trees = []
     for m in collection.members:
-        key = member_key(m, base)
+        key = member_key(m)
         t = by_key.get(key)
         if t is None:
             n = max([base] + [y + 1 for _, y, _ in key])

@@ -105,6 +105,8 @@ class TestExitCodes:
          "names a node the tree does not hold"),
         ('{"tree": {"nodes": [0, 1, 2], "edges": [[0, 1, 3], [0, 1, 4]]}}',
          "closes a cycle"),
+        ('{"tree": {"nodes": [0, 1, 2], "edges": [[0, 1, -5], [1, 2, 3]]}}',
+         "cut tree edge [0, 1, -5] has a negative weight"),
     ])
     def test_malformed_artifact(self, tmp_path, capsys, artifact, message):
         tree_path = tmp_path / "tree.json"
@@ -114,6 +116,8 @@ class TestExitCodes:
         assert run(["query", str(tree_path), str(pairs_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
         assert message in captured.err
         assert "Traceback" not in captured.err
 

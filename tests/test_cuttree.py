@@ -106,7 +106,7 @@ class TestGomoryHu:
         pedges = [(u, v, w) for (u, v, _), w in
                   zip(edges, weights.perturb([w for _, _, w in edges], seed=3))]
         t = gomory_hu(n, pedges)
-        assert validate_cut_tree(t, n, pedges, pair_check=False) == []
+        assert validate_cut_tree(t, n, pedges) == []
         sides = [t.bipartition(i) for i in range(len(t.edges))]
         assert laminar(sides, frozenset(range(n)))
 
@@ -279,10 +279,49 @@ class TestValidate:
         t = gomory_hu(n, edges)
         bad = t.with_weights([w + (1 if i == 0 else 0)
                               for i, (_, _, w) in enumerate(t.edges)])
-        report = validate_cut_tree(bad, n, edges, pair_check=False)
-        assert len(report) == 1
+        report = validate_cut_tree(bad, n, edges)
+        # the weight is neither its side's cut nor its endpoints' max-flow
+        u, v, _ = bad.edges[0]
+        assert len(report) == 2
+        assert all(line.startswith(f"edge {u}-{v}: ") for line in report)
 
     def test_wrong_topology_flagged(self):
         edges = [(0, 1, 1), (1, 2, 5)]
         bad = CutTree((0, 1, 2), ((0, 2, 1), (2, 1, 5)))
         assert validate_cut_tree(bad, 3, edges) != []
+
+    def test_side_that_is_no_minimum_cut_flagged(self):
+        # every weight is its side's cut, but {1} is no minimum 0-1 cut
+        edges = [(0, 1, 5), (1, 2, 1)]
+        bad = CutTree((0, 1, 2), ((0, 1, 6), (0, 2, 1)))
+        assert validate_cut_tree(bad, 3, edges) == [
+            "edge 0-1: tree weight 6 but min cut 5"]
+
+
+def all_pairs_holds(t, n, edges):
+    """The all-pairs certificate: every pair's tree path minimum equals its
+    max-flow, F(F-1)/2 max-flows."""
+    return all(t.path_min(x, y) == max_flow_min_cut(n, edges, x, y)[0]
+               for x, y in itertools.combinations(t.nodes, 2))
+
+
+@st.composite
+def side_weighted_trees(draw):
+    """``(n, edges, tree)``: a multigraph and a random spanning tree over
+    its vertices, each tree edge weighted by the cut of its side."""
+    n, edges = draw(multigraphs())
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[draw(st.integers(0, i - 1))], order[i])
+             for i in range(1, n)]
+    t = CutTree(tuple(range(n)), tuple((u, v, 0) for u, v in pairs))
+    return n, edges, t.with_weights([
+        sum(w for a, b, w in edges if (a in side) != (b in side))
+        for side in t.bipartitions()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_weighted_trees())
+def test_edge_certificate_matches_all_pairs(case):
+    n, edges, t = case
+    assert (validate_cut_tree(t, n, edges) == []) == \
+        all_pairs_holds(t, n, edges)

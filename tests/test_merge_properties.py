@@ -1,9 +1,11 @@
 """Property tests for the region-tree merge: cached leaf sets, duplicate
 inputs, Gusfield's merge against the divide-and-conquer merge it replaced,
-and the largest-first forms of region-tree construction and of the crossing
+the rooted projection against the bipartition projection it replaced, and
+the largest-first forms of region-tree construction and of the crossing
 check against the scans they replaced."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from surfcut.cuttree import CutTree  # noqa: E402
+from surfcut import gen  # noqa: E402
+from surfcut.cuttree import CutTree, gomory_hu  # noqa: E402
 from surfcut.errors import (  # noqa: E402
     CrossingCutsError,
     DisconnectedGraphError,
@@ -325,19 +328,49 @@ def test_cached_leaf_sets_match_dfs(t, data):
 @given(st.integers(2, 12).flatmap(
     lambda n: st.lists(cut_trees(n), min_size=1, max_size=4)), st.data())
 def test_duplicate_inputs_merge_like_distinct(trees, data):
-    """Every input shares the first one's topology, so no cuts cross."""
+    """Copies of the inputs, with their edges in any order, leave the merge
+    of the distinct trees unchanged.  Every input shares the first one's
+    topology, so no cuts cross."""
     base = [(u, v) for u, v, _ in trees[0].edges]
     trees = [CutTree(t.nodes, tuple((u, v, w) for (u, v), (_, _, w)
                                     in zip(base, t.edges)))
              for t in trees]
     picks = data.draw(st.lists(st.sampled_from(range(len(trees))),
                                max_size=8))
-    dup = trees + [trees[i] for i in picks]
-    want = merged_collection_tree(trees)
-    assert merged_collection_tree(dup) == want
+    dup = trees + [CutTree(trees[i].nodes,
+                           tuple(data.draw(st.permutations(trees[i].edges))))
+                   for i in picks]
+    distinct = [t for i, t in enumerate(trees)
+                if all(set(t.edges) != set(u.edges) for u in trees[:i])]
     nodes = sorted(trees[0].nodes)
+    want = merged_collection_tree(trees)
+    assert want == merge_leaf_trees([region_tree(t) for t in distinct], nodes)
+    assert merged_collection_tree(dup) == want
     every = [region_tree(t) for t in dup]
     assert merge_leaf_trees(every, nodes) == want
+
+
+def bipartition_projection(t):
+    """The region tree of a cut tree as projected before the rooted walk:
+    each tree edge's side, taken without ``min(t.nodes)``, inserted into
+    ``leaf_tree_from_cuts`` under its weight."""
+    nodes = sorted(t.nodes)
+    full = frozenset(nodes)
+    cuts = {}
+    for (_, _, w), side in zip(t.edges, t.bipartitions()):
+        cuts[full - side if nodes[0] in side else side] = w
+    return leaf_tree_from_cuts(nodes, cuts)
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_rooted_projection_matches_bipartitions(n, seed):
+    n, edges = gen.random_connected_graph(n, seed, max_weight=5)
+    t = gomory_hu(n, edges)
+    lt = project_member_tree(t)
+    want = bipartition_projection(t)
+    assert lt.cuts() == want.cuts()
+    assert Counter(shape(lt)) == Counter(shape(want))
 
 
 @SETTINGS

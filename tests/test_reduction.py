@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 from collections import Counter
@@ -25,7 +24,6 @@ from surfcut.merge import merged_collection_tree, project_member_tree
 from surfcut.reduction import (
     Collection,
     answer_bound,
-    capacity_key,
     collection_min_cut,
     expected_size,
     lifted_witness,
@@ -284,61 +282,6 @@ class TestAnswerBoundPruning:
         assert self.compare(random_torus(10, 7, low=10), monkeypatch) == 3
 
 
-def renamed(caps, to):
-    """``caps`` with every face ``f`` renamed ``to.get(f, f)``."""
-    out = {}
-    for (x, y), w in caps.items():
-        x, y = to.get(x, x), to.get(y, y)
-        out[min(x, y), max(x, y)] = w
-    return out
-
-
-@st.composite
-def capacity_maps(draw):
-    """``(base, boundary labels, caps)``: capacities over ordinary faces
-    ``0..base-1`` and one to four boundary faces from ``base`` up."""
-    base = draw(st.integers(1, 5))
-    boundary = list(range(base, base + draw(st.integers(1, 4))))
-    faces = st.sampled_from(list(range(base)) + boundary)
-    pairs = draw(st.lists(
-        st.tuples(faces, faces).filter(lambda p: p[0] != p[1])
-        .map(lambda p: (min(p), max(p))),
-        min_size=1, max_size=12, unique=True))
-    return base, boundary, {p: draw(st.integers(1, 5)) for p in pairs}
-
-
-class TestCapacityKey:
-    @settings(max_examples=200, deadline=None)
-    @given(capacity_maps(), st.data())
-    def test_renaming_boundary_faces_keeps_the_key(self, case, data):
-        base, boundary, caps = case
-        perm = data.draw(st.permutations(boundary))
-        assert capacity_key(renamed(caps, dict(zip(boundary, perm))),
-                           base) == capacity_key(caps, base)
-
-    @settings(max_examples=200, deadline=None)
-    @given(capacity_maps(), st.data())
-    def test_changing_one_capacity_changes_the_key(self, case, data):
-        base, boundary, caps = case
-        pair = data.draw(st.sampled_from(sorted(caps)))
-        changed = dict(caps)
-        changed[pair] += data.draw(st.integers(1, 3))
-        assert capacity_key(changed, base) != capacity_key(caps, base)
-
-    @settings(max_examples=200, deadline=None)
-    @given(capacity_maps())
-    def test_least_full_tuple_over_all_renamings(self, case):
-        # the key compares only the pairs that touch a boundary face; it
-        # must still be the least full sorted tuple over every renaming
-        base, boundary, caps = case
-        used = sorted({f for p in caps for f in p if f >= base})
-        want = min(
-            tuple(sorted((x, y, w) for (x, y), w in renamed(
-                caps, dict(zip(used, perm))).items()))
-            for perm in itertools.permutations(range(base, base + len(used))))
-        assert capacity_key(caps, base) == want
-
-
 def face_count(m):
     """The faces of a member: one past its highest dual label."""
     return 1 + max(max(x, y) for x, y, _, _ in m.dual)
@@ -401,7 +344,7 @@ class TestMemberTrees:
         assert any(m.annotation_weight for m in coll.members)
         base = coll.face_count
         for m, t in zip(coll.members, member_trees(coll)):
-            key_tree = cuttree.gomory_hu(face_count(m), member_key(m, base),
+            key_tree = cuttree.gomory_hu(face_count(m), member_key(m),
                                          terminals=range(base))
             assert t.nodes == key_tree.nodes == tuple(range(base))
             assert t.edges == tuple((u, v, w + m.annotation_weight)
@@ -423,7 +366,7 @@ class TestMemberTrees:
             mp.setattr(cuttree, "gomory_hu", counted)
             trees = member_trees(coll)
         base = coll.face_count
-        assert len(calls) == len({member_key(m, base) for m in coll.members})
+        assert len(calls) == len({member_key(m) for m in coll.members})
         if kind == "handle":
             assert len(calls) < len(coll)
         oracle = [per_member_tree(m, base) for m in coll.members]
