@@ -57,18 +57,9 @@ def max_flow(n, edges, s, t):
                 break
             total += pushed
 
-    side = {s}
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        a = first[u]
-        while a != -1:
-            v = to[a]
-            if cap[a] > 0 and v not in side:
-                side.add(v)
-                q.append(v)
-            a = nxt[a]
-    return total, frozenset(side)
+    # the last level BFS, which missed t, labelled exactly the vertices
+    # residual-reachable from s
+    return total, frozenset(v for v in range(n) if level[v] >= 0)
 
 
 def _augment(s, t, first, to, cap, nxt, level, cur):

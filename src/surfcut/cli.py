@@ -6,8 +6,10 @@ index from the stored tree and answers each pair line in O(1).
 Global flags are ``--seed`` and ``--format``.  Exit codes: 0 success, 2
 input failure (a malformed graph or artifact, or a bad query pair line), 3
 genus above ``reduction.GENUS_MAX`` (2), 4 crossing minimum cuts during
-merge.  No edge count is refused: the weight perturbation's scale grows
-with the instance.
+merge, 5 a forked member-tree worker that ended without sending its trees
+(``WorkerError``, naming its exit status).  An error raised inside a worker
+reaches the CLI with its own type and exit code.  No edge count is refused:
+the weight perturbation's scale grows with the instance.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     GenusLimitError,
     QueryInputError,
     SurfcutError,
+    WorkerError,
 )
 from .merge import merged_collection_tree
 from .query import build_index, min_cut_query
@@ -33,6 +36,7 @@ from .reduction import member_trees, planar_collection
 EXIT_PARSE = 2
 EXIT_GENUS = 3
 EXIT_CROSSING = 4
+EXIT_WORKER = 5
 
 
 def _read(path):
@@ -192,6 +196,9 @@ def main(argv=None):
     except CrossingCutsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSING
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except (SurfcutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -36,3 +36,7 @@ class CrossingCutsError(SurfcutError):
 
 class NoPathError(SurfcutError):
     """No boundary-to-boundary path exists in the requested homology class."""
+
+
+class WorkerError(SurfcutError):
+    """A forked member-tree worker ended without sending back its result."""

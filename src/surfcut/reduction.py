@@ -13,6 +13,10 @@ face pair, share one Gomory-Hu tree.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 from . import cuttree
@@ -28,6 +32,7 @@ from .errors import (
     CurveShapeError,
     GenusLimitError,
     SeparatingCutError,
+    WorkerError,
 )
 from .homology import homology_basis, tight_cycle_walk, tight_path
 
@@ -245,6 +250,91 @@ def member_key(m: AnnotatedPlanar):
     return tuple(sorted((x, y, w) for (x, y), w in caps.items()))
 
 
+def available_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, otherwise every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _deal(keys, count):
+    """``keys`` dealt into ``count`` shares of similar size: largest key
+    first, each to the share with the fewest capacity entries so far."""
+    shares = [[] for _ in range(count)]
+    loads = [0] * count
+    for key in sorted(keys, key=len, reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append(key)
+        loads[i] += len(key)
+    return shares
+
+
+def _in_child(fn, share, r, w):
+    """Forked child: pickle ``fn(share)``, or the exception it raised, into
+    pipe ``w`` and exit without returning."""
+    code = 1
+    try:
+        os.close(r)
+        try:
+            out = fn(share)
+        except Exception as exc:
+            out = exc
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump(out, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_map(fn, shares):
+    """``[fn(s) for s in shares]``: share 0 in this process and every other
+    share in a child forked with one pipe.  A child's exception is raised
+    here with its type; a child that ends without a result raises
+    WorkerError.  Every child is reaped before this returns or raises, and
+    killed first if this process fails.  The build runs no threads, so a
+    plain fork is safe."""
+    children = []                       # [pid or None once reaped, read end]
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _in_child(fn, share, r, w)
+            os.close(w)
+            children.append([pid, r])
+        results = [fn(shares[0])]
+        for child in children:
+            pid, r = child
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child[0] = None
+            if status != 0 or not chunks:
+                how = (f"was killed by signal {-status}" if status < 0
+                       else f"exited with status {status}")
+                raise WorkerError(f"member-tree worker {pid} {how} "
+                                  f"without sending its trees")
+            out = pickle.loads(b"".join(chunks))
+            if isinstance(out, Exception):
+                raise out
+            results.append(out)
+        return results
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def member_trees(collection: Collection):
     """One cut tree per member over the original faces, annotation offset
     already applied.
@@ -253,17 +343,32 @@ def member_trees(collection: Collection):
     edges and self-loops, so they have the same minimum cuts.  One
     Gomory-Hu tree is built per key, on the key's capacities with the
     original faces as terminals, and each member of the key gets it with its
-    annotation weight added to every edge.
+    annotation weight added to every edge.  The keys are dealt to one worker
+    per available CPU (at most one per key), forked where ``os.fork``
+    exists; the trees are put back by key, so the result does not depend on
+    the number of workers.
     """
     base = collection.face_count
+    first = {}          # each key once, so that equal keys share one tuple
+    keys = [first.setdefault(k, k)
+            for k in map(member_key, collection.members)]
+    distinct = list(first)
+    workers = 1
+    if hasattr(os, "fork"):
+        workers = max(1, min(available_cpus(), len(distinct)))
+    shares = _deal(distinct, workers)
+
+    def build(share):
+        return [cuttree.gomory_hu(max([base] + [y + 1 for _, y, _ in key]),
+                                  key, terminals=range(base))
+                for key in share]
+
     by_key = {}
+    for share, trees in zip(shares, _forked_map(build, shares)):
+        by_key.update(zip(share, trees))
     trees = []
-    for m in collection.members:
-        key = member_key(m)
-        t = by_key.get(key)
-        if t is None:
-            n = max([base] + [y + 1 for _, y, _ in key])
-            t = by_key[key] = cuttree.gomory_hu(n, key, terminals=range(base))
+    for m, key in zip(collection.members, keys):
+        t = by_key[key]
         offset = m.annotation_weight
         trees.append(t.with_weights([w + offset for _, _, w in t.edges]))
     return trees

@@ -1,9 +1,10 @@
 import itertools
 import json
+import os
 
 import pytest
 
-from surfcut import cli, gen
+from surfcut import cli, cuttree, gen, reduction
 from surfcut.cuttree import CutTree, host_checksum, validate_cut_tree
 from surfcut.embed import dual, format_graph, parse_graph
 from surfcut.errors import CrossingCutsError
@@ -127,6 +128,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "merged_collection_tree", boom)
         assert run(["build", str(torus_file)]) == 4
         assert "cross" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("action, code, message", [
+        ("raise", 4, "error: minimum cuts cross in a worker"),
+        ("exit", 5, "exited with status 3 without sending its trees"),
+    ])
+    def test_worker_failure(self, torus_file, monkeypatch, capsys, action,
+                            code, message):
+        parent, real = os.getpid(), cuttree.gomory_hu
+
+        def gomory_hu(*args, **kwargs):
+            if os.getpid() != parent:
+                if action == "exit":
+                    os._exit(3)
+                raise CrossingCutsError("minimum cuts cross in a worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        monkeypatch.setattr(cuttree, "gomory_hu", gomory_hu)
+        assert run(["build", str(torus_file)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestBuildQuery:

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import signal
 from collections import Counter
 
 import pytest
@@ -14,7 +16,7 @@ from surfcut.embed import (
     edge_of,
     side_of,
 )
-from surfcut.errors import GenusLimitError
+from surfcut.errors import CrossingCutsError, GenusLimitError, WorkerError
 from surfcut.oracle import (
     min_face_cut,
     min_separating_subgraph_exhaustive,
@@ -363,6 +365,8 @@ class TestMemberTrees:
             return real(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
+            # one worker, so that every gomory_hu call is made and counted here
+            mp.setattr(reduction, "available_cpus", lambda: 1)
             mp.setattr(cuttree, "gomory_hu", counted)
             trees = member_trees(coll)
         base = coll.face_count
@@ -382,6 +386,116 @@ class TestMemberTrees:
 
 def handle_grid(k):
     return gen.add_edge_between_faces(gen.torus_grid(k), 0, k * k // 2)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def trees_with_cpus(monkeypatch, coll, cpus):
+    """``member_trees(coll)`` as if ``cpus`` CPUs were available, and the
+    number of children it forked."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(reduction, "available_cpus", lambda: cpus)
+        mp.setattr(os, "fork", fork)
+        trees = member_trees(coll)
+    assert_no_child()
+    return trees, len(forks)
+
+
+def in_children(action):
+    """A ``gomory_hu`` that runs ``action`` in forked workers only."""
+    parent, real = os.getpid(), cuttree.gomory_hu
+
+    def gomory_hu(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return real(*args, **kwargs)
+    return gomory_hu
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedMemberTrees:
+    """Member trees built in forked workers equal the one-worker trees, a
+    worker's failure comes back typed, and no child outlives a build."""
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("g", [gen.torus_grid(k) for k in (3, 4, 5, 6)]
+                             + [handle_grid(2), handle_grid(3),
+                                gen.double_torus_one_vertex()],
+                             ids=["torus3", "torus4", "torus5", "torus6",
+                                  "handle2", "handle3", "double"])
+    def test_forked_trees_equal_one_worker(self, monkeypatch, g, perturbed):
+        rng = random.Random(g.edge_count)
+        g = g.with_weights([rng.randint(1, 9) for _ in range(g.edge_count)])
+        if perturbed:
+            g = weights.perturb_graph(g, seed=5)
+        coll = planar_collection(g)
+        keys = len({member_key(m) for m in coll.members})
+        one, forks = trees_with_cpus(monkeypatch, coll, 1)
+        assert forks == 0
+        many, forks = trees_with_cpus(monkeypatch, coll, 4)
+        assert forks == min(4, keys) - 1
+        assert many == one
+
+    def test_without_fork_every_share_runs_here(self, monkeypatch):
+        coll = planar_collection(random_torus(3, 1))
+        want, _ = trees_with_cpus(monkeypatch, coll, 1)
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert member_trees(coll) == want
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        def cross():
+            raise CrossingCutsError("raised in a worker")
+
+        coll = planar_collection(random_torus(3, 1))
+        monkeypatch.setattr(cuttree, "gomory_hu", in_children(cross))
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        with pytest.raises(CrossingCutsError, match="raised in a worker"):
+            member_trees(coll)
+        assert_no_child()
+
+    @pytest.mark.parametrize("action, status", [
+        (lambda: os._exit(7), "exited with status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"killed by signal {int(signal.SIGKILL)}"),
+    ], ids=["exit", "killed"])
+    def test_worker_death_raises(self, monkeypatch, action, status):
+        coll = planar_collection(random_torus(3, 1))
+        monkeypatch.setattr(cuttree, "gomory_hu", in_children(action))
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        with pytest.raises(WorkerError, match=status):
+            member_trees(coll)
+        assert_no_child()
+
+    def test_parent_failure_reaps_workers(self, monkeypatch):
+        coll = planar_collection(random_torus(4, 2))
+        parent, real = os.getpid(), cuttree.gomory_hu
+
+        def gomory_hu(*args, **kwargs):
+            if os.getpid() == parent:
+                raise GenusLimitError("raised in the parent")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cuttree, "gomory_hu", gomory_hu)
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
+        with pytest.raises(GenusLimitError):
+            member_trees(coll)
+        assert_no_child()
+
+    def test_deal_balances_largest_first(self):
+        keys = [(1,) * n for n in (1, 5, 2, 4, 3)]
+        assert reduction._deal(keys, 2) == [[(1,) * 5, (1,) * 2, (1,) * 1],
+                                            [(1,) * 4, (1,) * 3]]
 
 
 class TestPairDerivation:
