@@ -2,7 +2,11 @@
 
 Works on undirected edges with exact integer capacities.  Returns both the
 flow value and the source side of the induced minimum cut (the vertices
-reachable from the source in the residual network).
+reachable from the source in the residual network).  Each phase's level
+search stops once it has labelled the sink: by then every vertex below the
+sink's level is labelled, and the blocking flow only walks arcs one level
+up towards the sink, so no other vertex at or past its level plays a part.
+The last search, which misses the sink, runs in full.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ def max_flow(n, edges, s, t):
         q = deque([s])
         while q:
             u = q.popleft()
+            if level[t] >= 0:
+                break
             a = first[u]
             while a != -1:
                 v = to[a]
@@ -57,8 +63,8 @@ def max_flow(n, edges, s, t):
                 break
             total += pushed
 
-    # the last level BFS, which missed t, labelled exactly the vertices
-    # residual-reachable from s
+    # the last level BFS, which missed t and so ran in full, labelled
+    # exactly the vertices residual-reachable from s
     return total, frozenset(v for v in range(n) if level[v] >= 0)
 
 

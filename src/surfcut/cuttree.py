@@ -181,7 +181,21 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     two smallest terminals.  So exactly |T|-1 max-flow calls are made, the
     cuts are nested by construction, and each finished group is labelled by
     its one terminal; the other vertices only carry flow.
+
+    Each max-flow runs from the split pair's lighter terminal, by weighted
+    degree (the first one on a tie), and the group's side is the complement
+    when it ran from the second.  A group's vertices keep their own ids in
+    the contraction, so their contracted degrees are their degrees in the
+    input.  Most splits cut off one light face, so the flow's last level
+    search labels only that small side.  Where every minimum cut is unique,
+    as under the weight perturbation, the tree does not depend on the
+    direction; with tied cuts it may hold other (equally minimum) sides.
     """
+    degree = [0] * n
+    for u, v, w in edges:
+        if u != v:
+            degree[u] += w
+            degree[v] += w
     terms = [sorted(set(range(n) if terminals is None else terminals))]
     members = [list(range(n))]
     owner = [0] * n                 # vertex -> group
@@ -217,8 +231,12 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
                 key = (a, b) if a < b else (b, a)
                 caps[key] = caps.get(key, 0) + w
         s, t = terms[gi][0], terms[gi][1]
-        value, side = max_flow_min_cut(
-            nc, [(a, b, w) for (a, b), w in caps.items()], local[s], local[t])
+        arcs = [(a, b, w) for (a, b), w in caps.items()]
+        if degree[t] < degree[s]:
+            value, side = max_flow_min_cut(nc, arcs, local[t], local[s])
+            side = frozenset(range(nc)) - side
+        else:
+            value, side = max_flow_min_cut(nc, arcs, local[s], local[t])
         bi = len(members)
         members[gi] = [v for i, v in enumerate(group) if i in side]
         members.append([v for i, v in enumerate(group) if i not in side])

@@ -141,8 +141,9 @@ def _search(moves, classes, heap, dist, back, goal, pending, lowest=0):
     A class leaves once a popped weight reaches its cap; otherwise its result
     is the first popped state of that class whose dart is in ``goal``.  Goal
     states are expanded like any other, since other classes' walks may pass
-    through them.  No step enters an edge with id below ``lowest``.  Consumes
-    ``pending``; returns ``{class: (weight, state index)}``.
+    through them.  No step enters an edge with a nonzero signature and an id
+    below ``lowest``.  Consumes ``pending``; returns
+    ``{class: (weight, state index)}``.
     """
     pop, push = heapq.heappop, heapq.heappush
     found = {}
@@ -163,7 +164,7 @@ def _search(moves, classes, heap, dist, back, goal, pending, lowest=0):
             del pending[s]
             floor = min(pending.values(), default=INF)
         for base, d2, w2, s2 in moves[d]:
-            if d2 < low:
+            if d2 < low and s2:
                 continue
             s2 ^= s
             j = base + s2
@@ -197,21 +198,39 @@ def tight_cycle(g: EmbeddedGraph, basis: HomologyBasis, h: int) -> frozenset:
     return walks[h].edge_set()
 
 
+def _from_lowest_edge(darts):
+    """The closed walk ``darts`` rotated, and reversed if needed, to start
+    with dart 2e of its lowest edge e."""
+    e = min(darts) >> 1
+    if 2 * e not in darts:
+        darts = [d ^ 1 for d in reversed(darts)]
+    i = darts.index(2 * e)
+    return darts[i:] + darts[:i]
+
+
 def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
-    """Minimum-weight weakly simple cycle of every homology class.
+    """Minimum-weight weakly simple cycle of every nonzero homology class.
 
-    For each start edge e0, in id order, one non-backtracking Dijkstra in the
-    homology cover finds the cheapest closed walk starting with e0 for every
-    class at once; a class leaves that search once it cannot beat its best
-    walk from earlier start edges.  The search from e0 enters no edge below
-    e0: the cheapest walk of a class through such an edge e' was already
-    found, as itself or as its reversal rotated to start at e', when e' was
-    the start edge, and a later start only wins with a strictly lighter walk.
-    A self-loop e0 is its own walk in its own class.  Each winning walk is
-    uncrossed so cut_along can consume it.
+    A cycle's class is the XOR of its edges' signatures, so every cycle of a
+    nonzero class holds an edge with a nonzero signature: an edge of the
+    dual basis cycles of the tree-cotree split (Eppstein, SODA 2003).  Only
+    those signature edges start a search.  For each signature edge e0, in id
+    order, one non-backtracking Dijkstra in the homology cover finds the
+    cheapest closed walk starting with e0 for every nonzero class at once; a
+    class leaves that search once it cannot beat its best walk from earlier
+    start edges.  The search from e0 enters no signature edge below e0: the
+    cheapest walk of a class through such an edge e' was already found, as
+    itself or as its reversal rotated to start at e', when e' was the start
+    edge, and a later start only wins with a strictly lighter walk.  A
+    self-loop e0 is its own walk in its own class.  Each winning walk is
+    rotated to start at dart 2e of its lowest edge e, reversed if needed,
+    and uncrossed so cut_along can consume it.
 
-    Returns ``(walks, missing)``: the ClosedCurve of every class that has
-    one, and for every other class the reason it has none.
+    Class 0 is not searched: a null-homologous simple cycle separates the
+    surface, so no cut is made along it.
+
+    Returns ``(walks, missing)``: the ClosedCurve of every nonzero class that
+    has one, and for every other class the reason it has none.
     """
     classes = 1 << (2 * basis.genus)
     sig = basis.edge_signature
@@ -220,8 +239,10 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
     back = [-1] * size
     best = {}       # class -> (weight, dart sequence)
     for e0, (u0, v0, w0) in enumerate(g.edges):
+        if not sig[e0]:
+            continue
         pending = {h: best[h][0] if h in best else INF
-                   for h in range(classes)}
+                   for h in range(1, classes)}
         if u0 == v0:
             h = sig[e0]
             if h not in best or w0 < best[h][0]:
@@ -239,13 +260,14 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
             best[h] = (w, _walk(back, i, classes))
     walks = {}
     missing = {}
-    for h in range(classes):
+    for h in range(1, classes):
         if h not in best:
             missing[h] = f"no cycle with signature {h}"
         elif _repeats_edge(best[h][1]):
             missing[h] = f"minimum closed walk in class {h} repeats an edge"
         else:
-            walks[h] = uncross_walk(g, best[h][1])
+            walks[h] = uncross_walk(g, _from_lowest_edge(best[h][1]))
+    missing[0] = "null-homologous, separates the surface"
     return walks, missing
 
 

@@ -78,7 +78,8 @@ def expected_size(genus: int) -> int:
 
 
 def tight_cycles_all(g: EmbeddedGraph):
-    """One tight cycle per homology class, as edge sets (empty for genus 0)."""
+    """One tight cycle per nonzero homology class, as edge sets (empty for
+    genus 0)."""
     if g.genus == 0:
         return []
     walks, _ = tight_cycle_walk(g, homology_basis(g))
@@ -180,9 +181,6 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
         where = "/".join(prov) or "root"
         basis = homology_basis(h)
         walks, missing = tight_cycle_walk(h, basis)
-        if walks.pop(0, None) is not None:
-            # a null-homologous simple cycle separates the surface: no cut
-            missing[0] = "null-homologous, separates the surface"
         classes = 1 << (2 * h.genus)
         for c, reason in missing.items():
             attempted[0] += slot * (1 + classes)
@@ -272,7 +270,8 @@ def _deal(keys, count):
 
 def _in_child(fn, share, r, w):
     """Forked child: pickle ``fn(share)``, or the exception it raised, into
-    pipe ``w`` and exit without returning."""
+    pipe ``w`` and exit without returning.  If that does not pickle, a
+    WorkerError naming the pickling failure goes in its place."""
     code = 1
     try:
         os.close(r)
@@ -280,8 +279,16 @@ def _in_child(fn, share, r, w):
             out = fn(share)
         except Exception as exc:
             out = exc
+        try:
+            data = pickle.dumps(out)
+        except Exception as exc:
+            what = (f"the {type(out).__name__} it raised"
+                    if isinstance(out, Exception) else "its result")
+            data = pickle.dumps(WorkerError(
+                f"member-tree worker {os.getpid()} could not pickle {what}: "
+                f"{type(exc).__name__}: {exc}"))
         with os.fdopen(w, "wb") as fh:
-            pickle.dump(out, fh)
+            fh.write(data)
         code = 0
     finally:
         os._exit(code)

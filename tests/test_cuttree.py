@@ -121,9 +121,12 @@ class TestGomoryHu:
         assert t.path_min(0, 2) == 4
 
 
-def rebuilt_gomory_hu(n, edges):
+def rebuilt_gomory_hu(n, edges, lighter=True):
     """The contraction Gomory-Hu tree that rebuilt the whole contraction at
-    every step, kept as the oracle for the incremental one."""
+    every step, kept as the oracle for the incremental one.  With
+    ``lighter`` each max-flow runs from the split pair's terminal of smaller
+    weighted degree in the contracted graph, as ``gomory_hu`` does; without
+    it, always from the first terminal."""
     if n == 1:
         return CutTree((0,), ())
     groups = [sorted(range(n))]
@@ -141,9 +144,17 @@ def rebuilt_gomory_hu(n, edges):
                 continue
             key = (a, b) if a < b else (b, a)
             cedges[key] = cedges.get(key, 0) + w
-        value, side = max_flow_min_cut(
-            nc, [(a, b, w) for (a, b), w in cedges.items()],
-            cid[s], cid[t])
+        arcs = [(a, b, w) for (a, b), w in cedges.items()]
+        degree = {cid[s]: 0, cid[t]: 0}
+        for (a, b), w in cedges.items():
+            for x in (a, b):
+                if x in degree:
+                    degree[x] += w
+        if lighter and degree[cid[t]] < degree[cid[s]]:
+            value, side = max_flow_min_cut(nc, arcs, cid[t], cid[s])
+            side = frozenset(range(nc)) - side
+        else:
+            value, side = max_flow_min_cut(nc, arcs, cid[s], cid[t])
         in_a = [v for v in groups[gi] if cid[v] in side]
         in_b = [v for v in groups[gi] if cid[v] not in side]
         if not in_a or not in_b:
@@ -222,6 +233,20 @@ def multigraphs(draw):
     return n, [(u, v, w) for u, v, w in edges if u != v]
 
 
+@st.composite
+def tie_free_graphs(draw):
+    """A connected multigraph on 1..9 vertices with distinct powers of two
+    as edge weights.  Distinct cuts cross distinct edge sets, so they have
+    distinct weights, and every minimum cut is unique."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs += [(u, v) for u, v in draw(st.lists(st.tuples(vertex, vertex),
+                                               max_size=12)) if u != v]
+    order = draw(st.permutations(range(len(pairs))))
+    return n, [(u, v, 1 << i) for (u, v), i in zip(pairs, order)]
+
+
 class TestIncrementalGomoryHu:
     @settings(max_examples=400, deadline=None)
     @given(multigraphs())
@@ -234,6 +259,19 @@ class TestIncrementalGomoryHu:
                 gomory_hu(n, edges)
             return
         assert gomory_hu(n, edges) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_free_graphs())
+    def test_flow_direction_is_free_without_ties(self, graph):
+        n, edges = graph
+        assert gomory_hu(n, edges) == rebuilt_gomory_hu(n, edges,
+                                                         lighter=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_trees_certify_with_ties(self, graph):
+        n, edges = graph
+        assert validate_cut_tree(gomory_hu(n, edges), n, edges) == []
 
     @settings(max_examples=300, deadline=None)
     @given(multigraphs(), st.data())

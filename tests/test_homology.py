@@ -1,6 +1,7 @@
 import heapq
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,25 @@ def even_subsets(g, rng, count):
             x = x ^ piece
         out.append(x)
     return out
+
+
+@st.composite
+def surfaces(draw):
+    """Torus grids k=2..4, the same with a handle edge (genus 2), or the
+    one-vertex double torus (self-loops only); weights all 1, 1..3 or
+    1..100."""
+    kind = draw(st.sampled_from(["torus", "handle", "loops"]))
+    if kind == "loops":
+        g = gen.double_torus_one_vertex()
+    else:
+        g = gen.torus_grid(draw(st.integers(2, 4)))
+        if kind == "handle":
+            g = gen.add_edge_between_faces(
+                g, 0, draw(st.integers(1, g.face_count - 1)))
+    top = draw(st.sampled_from([1, 3, 100]))
+    return g.with_weights(draw(st.lists(st.integers(1, top),
+                                        min_size=g.edge_count,
+                                        max_size=g.edge_count)))
 
 
 class TestBasis:
@@ -143,17 +163,21 @@ class TestTightCycle:
         basis = homology_basis(g)
         r, c = basis.signature(ROW0), basis.signature(COL0)
         weights = {h: sum(g.weight(e) for e in tight_cycle(g, basis, h))
-                   for h in range(4)}
-        assert weights[0] == 4
+                   for h in range(1, 4)}
         assert weights[r] == 3
         assert weights[c] == 3
         assert weights[r ^ c] == 6
 
-    def test_class_zero_is_face(self):
-        g = gen.torus_grid(3)
+    @settings(max_examples=30, deadline=None)
+    @given(surfaces())
+    def test_class_zero_is_reported_missing(self, g):
+        # no search serves class 0; its cycles separate the surface
         basis = homology_basis(g)
-        x = tight_cycle(g, basis, 0)
-        assert x in {boundary_of_faces({f}, g) for f in range(g.face_count)}
+        walks, missing = tight_cycle_walk(g, basis)
+        assert 0 not in walks
+        assert missing[0] == "null-homologous, separates the surface"
+        with pytest.raises(NoPathError):
+            tight_cycle(g, basis, 0)
 
     def test_matches_exhaustive_on_loops(self):
         g = gen.double_torus_one_vertex().with_weights([1, 2, 3, 4])
@@ -176,8 +200,8 @@ class TestTightCycle:
         g = gen.torus_grid(4, seed=13)
         basis = homology_basis(g)
         walks, missing = tight_cycle_walk(g, basis)
-        assert not missing
-        for h in range(4):
+        assert list(missing) == [0]
+        for h in range(1, 4):
             assert basis.signature(walks[h].edge_set()) == h
 
 
@@ -246,10 +270,15 @@ def _dart_steps(g):
 
 
 def per_class_tight_cycle_walk(g, basis, h):
+    """One class's tight cycle, from the same start edges as the batched
+    search (those with a nonzero signature), rotated to start at dart 2e of
+    its lowest edge e."""
     moves = _dart_steps(g)
     sig = basis.edge_signature
     best = None
     for e0 in range(g.edge_count):
+        if not sig[e0]:
+            continue
         u0, v0, w0 = g.edges[e0]
         if u0 == v0 and sig[e0] == h:
             if best is None or w0 < best[0]:
@@ -264,7 +293,12 @@ def per_class_tight_cycle_walk(g, basis, h):
     edges = [edge_of(d) for d in best[1]]
     if len(set(edges)) != len(edges):
         raise NoPathError(f"minimum closed walk in class {h} repeats an edge")
-    return uncross_walk(g, best[1])
+    walk = best[1]
+    low = 2 * min(edges)
+    if low not in walk:
+        walk = [twin(d) for d in reversed(walk)]
+    i = walk.index(low)
+    return uncross_walk(g, walk[i:] + walk[:i])
 
 
 def _closed_walk_from(g, moves, sig, d0, h, cap):
@@ -351,25 +385,6 @@ def per_class_tight_path(h_graph, f_start, f_end, signatures, target):
     return tuple(darts), best[0]
 
 
-@st.composite
-def surfaces(draw):
-    """Torus grids k=2..4, the same with a handle edge (genus 2), or the
-    one-vertex double torus (self-loops only); weights all 1, 1..3 or
-    1..100."""
-    kind = draw(st.sampled_from(["torus", "handle", "loops"]))
-    if kind == "loops":
-        g = gen.double_torus_one_vertex()
-    else:
-        g = gen.torus_grid(draw(st.integers(2, 4)))
-        if kind == "handle":
-            g = gen.add_edge_between_faces(
-                g, 0, draw(st.integers(1, g.face_count - 1)))
-    top = draw(st.sampled_from([1, 3, 100]))
-    return g.with_weights(draw(st.lists(st.integers(1, top),
-                                        min_size=g.edge_count,
-                                        max_size=g.edge_count)))
-
-
 def _outcome(search, *args):
     try:
         return search(*args)
@@ -384,7 +399,8 @@ def test_batched_searches_match_per_class_searches(g):
     classes = 1 << (2 * basis.genus)
     walks, missing = tight_cycle_walk(g, basis)
     assert sorted([*walks, *missing]) == list(range(classes))
-    for h in range(classes):
+    assert 0 in missing
+    for h in range(1, classes):
         want = _outcome(per_class_tight_cycle_walk, g, basis, h)
         assert (walks[h] if h in walks else missing[h]) == want
     for h, walk in walks.items():

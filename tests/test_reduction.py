@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 import re
@@ -17,6 +18,7 @@ from surfcut.embed import (
     side_of,
 )
 from surfcut.errors import CrossingCutsError, GenusLimitError, WorkerError
+from surfcut.homology import homology_basis, tight_cycle_walk
 from surfcut.oracle import (
     min_face_cut,
     min_separating_subgraph_exhaustive,
@@ -45,11 +47,11 @@ class TestTightCyclesAll:
     def test_planar_empty(self):
         assert tight_cycles_all(gen.planar_triangulation(5, seed=0)) == []
 
-    def test_torus_has_four_classes(self):
+    def test_torus_has_three_nonzero_classes(self):
         cycles = tight_cycles_all(gen.torus_grid(3))
-        assert len(cycles) == 4
+        assert len(cycles) == 3
         ws = sorted(sum(1 for _ in c) for c in cycles)
-        assert ws == [3, 3, 4, 6]
+        assert ws == [3, 3, 6]
 
 
 class TestPlanarCollection:
@@ -338,6 +340,73 @@ def weighted_surfaces(draw):
     return kind, g, perturbed
 
 
+def all_start_tight_cycles(g, basis):
+    """``{class: (weight, darts)}``: the cheapest non-backtracking closed
+    walk of every nonzero class, from one homology-cover Dijkstra at every
+    start edge, none pruned, ties to the earlier start: the oracle for
+    starting only at signature edges."""
+    sig = basis.edge_signature
+    tail = {d: v for v, rot in enumerate(g.rotations) for d in rot}
+    best = {}
+    for e0, (u0, v0, w0) in enumerate(g.edges):
+        h0 = sig[e0]
+        if u0 == v0 and h0 and (h0 not in best or w0 < best[h0][0]):
+            best[h0] = (w0, [2 * e0])
+        start = (2 * e0, h0)
+        dist, back = {start: w0}, {start: None}
+        heap = [(w0, 2 * e0, h0)]
+        while heap:
+            w, d, s = heapq.heappop(heap)
+            if w > dist[d, s]:
+                continue
+            head = tail[d ^ 1]
+            if (head == u0 and d >> 1 != e0 and s
+                    and (s not in best or w < best[s][0])):
+                walk, state = [], (d, s)
+                while state:
+                    walk.append(state[0])
+                    state = back[state]
+                best[s] = (w, walk[::-1])
+            for d2 in g.rotations[head]:
+                if d2 >> 1 == d >> 1:
+                    continue
+                state = (d2, s ^ sig[d2 >> 1])
+                nw = w + g.edges[d2 >> 1][2]
+                if nw < dist.get(state, float("inf")):
+                    dist[state], back[state] = nw, (d, s)
+                    heapq.heappush(heap, (nw, *state))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_surfaces())
+@example(("double", gen.double_torus_one_vertex(), False))
+@example(("double", weights.perturb_graph(gen.double_torus_one_vertex(), 1),
+          True))
+def test_signature_starts_find_every_nonzero_class(case):
+    """Starting only at signature edges loses no nonzero class: each walk
+    has the weight of the all-start search's, and under the perturbation
+    (no ties) the same edge set and the same verdict on repeated edges.
+    Class 0 is reported missing, never returned."""
+    _, g, perturbed = case
+    basis = homology_basis(g)
+    walks, missing = tight_cycle_walk(g, basis)
+    want = all_start_tight_cycles(g, basis)
+    assert 0 not in walks
+    assert missing[0] == "null-homologous, separates the surface"
+    repeats = {h for h, reason in missing.items() if "repeats" in reason}
+    assert set(want) == set(walks) | repeats
+    for h, walk in walks.items():
+        edges = walk.edge_set()
+        assert sum(g.weight(e) for e in edges) == want[h][0]
+        if perturbed:
+            assert edges == {d >> 1 for d in want[h][1]}
+    if perturbed:
+        for h in repeats:
+            darts = want[h][1]
+            assert len({d >> 1 for d in darts}) < len(darts)
+
+
 class TestMemberTrees:
     def test_annotation_offset(self):
         # each member's tree is its key's Gomory-Hu tree over the original
@@ -422,6 +491,13 @@ def in_children(action):
     return gomory_hu
 
 
+class Unpicklable:
+    WHY = "stays in its process"
+
+    def __reduce__(self):
+        raise TypeError(self.WHY)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedMemberTrees:
     """Member trees built in forked workers equal the one-worker trees, a
@@ -475,6 +551,21 @@ class TestForkedMemberTrees:
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
         with pytest.raises(WorkerError, match=status):
             member_trees(coll)
+        assert_no_child()
+
+    @pytest.mark.parametrize("raises, what", [
+        (False, "its result"),
+        (True, "the CrossingCutsError it raised"),
+    ], ids=["returned", "raised"])
+    def test_unpicklable_outcome_raises(self, raises, what):
+        def share_fn(share):
+            if share and raises:
+                raise CrossingCutsError(Unpicklable())
+            return Unpicklable() if share else None
+
+        with pytest.raises(WorkerError, match=(
+                f"could not pickle {what}: TypeError: {Unpicklable.WHY}")):
+            reduction._forked_map(share_fn, [0, 1])
         assert_no_child()
 
     def test_parent_failure_reaps_workers(self, monkeypatch):
