@@ -3,20 +3,25 @@
 Run from the repository root:
 
     python3 benchmarks/bench_maxflow.py [--sizes 500 2000 8000] [--seed 0]
+
+The table times ``max_flow`` on random graphs; one more line per kernel
+times ``dual_cut_tree`` of the perturbed 10-by-10 torus grid (weights
+1..100 from ``random.Random(7)``, seed 7), whose Gomory-Hu steps run on the
+kernel's arc arrays.
 """
 
 import argparse
 import random
 import time
 
-from surfcut import _dinic_py
+from surfcut import _dinic_py, cuttree, gen, weights
 from surfcut.cuttree import KERNEL
 
 try:
     from surfcut import _dinic
-    KERNELS = [("compiled", _dinic.max_flow), ("pure", _dinic_py.max_flow)]
+    KERNELS = [("compiled", _dinic), ("pure", _dinic_py)]
 except ImportError:
-    KERNELS = [("pure", _dinic_py.max_flow)]
+    KERNELS = [("pure", _dinic_py)]
 
 
 def make_graph(n, seed):
@@ -27,12 +32,12 @@ def make_graph(n, seed):
     return [(u, v, w) for u, v, w in edges if u != v]
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[500, 2000, 8000])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=20)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"kernel selected at import: {KERNEL}")
     print(f"{'n':>8} {'m':>8}" +
@@ -42,15 +47,26 @@ def main():
         edges = make_graph(n, args.seed)
         row = [f"{n:>8} {len(edges):>8}"]
         times = []
-        for name, fn in KERNELS:
+        for name, kernel in KERNELS:
             t0 = time.perf_counter()
             for i in range(args.pairs):
-                fn(n, edges, i % n, (n // 2 + i) % n)
+                kernel.max_flow(n, edges, i % n, (n // 2 + i) % n)
             times.append(time.perf_counter() - t0)
             row.append(f" {times[-1]:>14.3f}")
         speedup = times[-1] / times[0] if len(times) == 2 else 1.0
         row.append(f" {speedup:>8.1f}x")
         print("".join(row))
+
+    torus = weights.perturb_graph(gen.torus_grid(10, seed=7), 7)
+    for name, kernel in KERNELS:
+        saved, cuttree._dinic = cuttree._dinic, kernel
+        try:
+            t0 = time.perf_counter()
+            cuttree.dual_cut_tree(torus)
+            print(f"dual_cut_tree torus10 ({name}): "
+                  f"{time.perf_counter() - t0:.3f} s")
+        finally:
+            cuttree._dinic = saved
 
 
 if __name__ == "__main__":

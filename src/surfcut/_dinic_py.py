@@ -2,16 +2,16 @@
 
 Works on undirected edges with exact integer capacities.  Returns both the
 flow value and the source side of the induced minimum cut (the vertices
-reachable from the source in the residual network).  Each phase's level
-search stops once it has labelled the sink: by then every vertex below the
-sink's level is labelled, and the blocking flow only walks arcs one level
-up towards the sink, so no other vertex at or past its level plays a part.
-The last search, which misses the sink, runs in full.
+reachable from the source in the residual network).
+
+The network lives in four arc arrays: arc ``2i`` runs along edge i and arc
+``2i + 1`` back, ``to[a]`` is an arc's head (so ``to[a ^ 1]`` is its tail),
+``cap[a]`` its residual capacity, and ``first[u]``/``nxt[a]`` thread the arcs
+leaving each vertex into a list ended by -1.  ``max_flow`` builds them from an
+edge list; ``cuttree.gomory_hu`` writes them directly.  Both run ``search``.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 
 def max_flow(n, edges, s, t):
@@ -22,77 +22,84 @@ def max_flow(n, edges, s, t):
     """
     if s == t:
         raise ValueError("source equals sink")
+    to = [x for u, v, _ in edges for x in (v, u)]
+    cap = [c for _, _, c in edges for _ in (0, 1)]
     first = [-1] * n
-    to, cap, nxt = [], [], []
-
-    def add(u, v, c):
-        to.append(v)
-        cap.append(c)
-        nxt.append(first[u])
-        first[u] = len(to) - 1
-
-    for u, v, c in edges:
-        add(u, v, c)
-        add(v, u, c)
-
-    total = 0
-    level = [0] * n
-    while True:
-        for i in range(n):
-            level[i] = -1
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            if level[t] >= 0:
-                break
-            a = first[u]
-            while a != -1:
-                v = to[a]
-                if cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    q.append(v)
-                a = nxt[a]
-        if level[t] < 0:
-            break
-        cur = list(first)
-        # iterative blocking-flow DFS
-        while True:
-            pushed = _augment(s, t, first, to, cap, nxt, level, cur)
-            if pushed == 0:
-                break
-            total += pushed
-
-    # the last level BFS, which missed t and so ran in full, labelled
-    # exactly the vertices residual-reachable from s
+    nxt = [0] * len(to)
+    for a in range(len(to)):
+        u = to[a ^ 1]
+        nxt[a] = first[u]
+        first[u] = a
+    total, level = search(n, first, to, cap, nxt, s, t)
     return total, frozenset(v for v in range(n) if level[v] >= 0)
 
 
-def _augment(s, t, first, to, cap, nxt, level, cur):
-    path = []
-    u = s
+def search(n, first, to, cap, nxt, s, t):
+    """Dinic's algorithm on threaded arc arrays; ``cap`` ends residual.
+
+    Returns ``(value, level)``: ``level[v] >= 0`` exactly for the vertices
+    residual-reachable from ``s``, the source side of a minimum cut.
+
+    Each phase's level search stops once it has labelled the sink: by then
+    every vertex below the sink's level is labelled, and the blocking flow
+    only walks arcs one level up towards the sink, so no other vertex at or
+    past its level plays a part.  The last search, which misses the sink,
+    runs in full, so its levels mark the residual source side.
+    """
+    total = 0
     while True:
-        if u == t:
-            bottleneck = min(cap[a] for a in path)
-            for a in path:
-                cap[a] -= bottleneck
-                cap[a ^ 1] += bottleneck
-            return bottleneck
-        a = cur[u]
-        advanced = False
-        while a != -1:
-            v = to[a]
-            if cap[a] > 0 and level[v] == level[u] + 1:
-                cur[u] = a
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            d = level[u] + 1
+            a = first[u]
+            while a != -1:
+                v = to[a]
+                if level[v] < 0 and cap[a] > 0:
+                    level[v] = d
+                    if v == t:
+                        break
+                    queue.append(v)
+                a = nxt[a]
+            else:
+                continue
+            break           # the sink is labelled
+        else:
+            return total, level
+        # blocking flow: one depth-first walk along arcs one level up; ``cur``
+        # keeps each vertex's next arc to try, a dead end loses its level,
+        # and after each augmentation the walk backs up to the tail of the
+        # first arc it saturated
+        cur = first[:]
+        path = []
+        u = s
+        want = 1
+        while True:
+            if u == t:
+                pushed = min([cap[a] for a in path])
+                total += pushed
+                k = -1
+                for i, a in enumerate(path):
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                    if k < 0 and cap[a] == 0:
+                        k = i
+                u = to[path[k] ^ 1]
+                want = k + 1
+                del path[k:]
+                continue
+            a = cur[u]
+            while a != -1 and not (cap[a] > 0 and level[to[a]] == want):
+                a = nxt[a]
+            cur[u] = a
+            if a != -1:
                 path.append(a)
-                u = v
-                advanced = True
+                u = to[a]
+                want += 1
+            elif path:
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                want -= 1
+            else:
                 break
-            a = nxt[a]
-        if advanced:
-            continue
-        cur[u] = -1
-        level[u] = -1
-        if not path:
-            return 0
-        u = to[path.pop() ^ 1]

@@ -4,7 +4,9 @@ Graphs here are plain weighted edge lists over integer vertex ids; the
 embedded structure is only needed upstream.  The max-flow kernel is the
 compiled Dinic extension when available, with a pure Python fallback
 (``SURFCUT_PURE=1`` forces the fallback).  Capacities too large for the
-compiled kernel's 64-bit arithmetic go to the fallback as well.
+compiled kernel's 64-bit arithmetic go to the fallback as well.  Edge lists
+enter through ``max_flow_min_cut``; Gomory-Hu steps hand the kernel arc
+arrays through ``max_flow_on_arcs``.
 """
 
 from __future__ import annotations
@@ -37,12 +39,32 @@ def max_flow_min_cut(n, edges, s, t):
     arcs = [(u, v, w) for u, v, w in edges if w > 0]
     if any(not (0 <= u < n and 0 <= v < n) for u, v, _ in arcs):
         raise ValueError("edge endpoint out of range")
-    # The compiled kernel holds capacities in signed 64-bit ints.  A residual
-    # capacity is at most twice an edge's and the flow at most the total, so
-    # twice the total must stay below 2**63.
-    if _dinic is _dinic_py or 2 * sum(w for _, _, w in arcs) >= 2 ** 63:
-        return _dinic_py.max_flow(n, arcs, s, t)
-    return _dinic.max_flow(n, arcs, s, t)
+    if _fits_compiled(2 * sum(w for _, _, w in arcs)):
+        return _dinic.max_flow(n, arcs, s, t)
+    return _dinic_py.max_flow(n, arcs, s, t)
+
+
+def max_flow_on_arcs(n, first, to, cap, nxt, s, t):
+    """Max s-t flow on a network already in the kernel's arc arrays (see
+    ``_dinic_py``); returns ``(value, level)`` with ``level[v] >= 0`` exactly
+    for the residual source side.  ``cap`` may be left residual."""
+    if _fits_compiled(sum(cap)):
+        value, side = _dinic.max_flow(
+            n, list(zip(to[1::2], to[::2], cap[::2])), s, t)
+        level = [-1] * n
+        for v in side:
+            level[v] = 0
+        return value, level
+    return _dinic_py.search(n, first, to, cap, nxt, s, t)
+
+
+def _fits_compiled(twice_total):
+    """Whether the compiled kernel is loaded and safe for a network whose
+    capacities sum to ``twice_total`` over both directions of every edge.
+    It holds capacities in signed 64-bit ints; a residual capacity is at
+    most twice an edge's and the flow at most the total, so twice the total
+    must stay below 2**63."""
+    return _dinic is not _dinic_py and twice_total < 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -182,6 +204,16 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     cuts are nested by construction, and each finished group is labelled by
     its one terminal; the other vertices only carry flow.
 
+    Each step maps every vertex to its contracted id and writes the
+    contracted network in one pass over the input edges straight into the
+    kernel's arc arrays (``max_flow_on_arcs``), dropping the edges that
+    contract to self-loops.  Parallel contracted edges stay separate arcs
+    rather than being summed: that changes neither the flow value nor the
+    side.  The side is the set of vertices residual-reachable from the
+    source, which is the source side of the least minimum cut, so it is the
+    same for every maximum flow and depends only on the total capacity
+    between each pair of vertices.
+
     Each max-flow runs from the split pair's lighter terminal, by weighted
     degree (the first one on a tie), and the group's side is the complement
     when it ran from the second.  A group's vertices keep their own ids in
@@ -208,7 +240,6 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
         if gi == len(terms):
             break
         group = members[gi]
-        local = {v: i for i, v in enumerate(group)}
         comp = [None] * len(members)    # group -> contracted id of its subtree
         nc = len(group)
         for nb in tree[gi]:
@@ -220,31 +251,35 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
                         comp[y] = nc
                         stack.append(y)
             nc += 1
-        caps = {}
+        cid = [comp[g] for g in owner]  # vertex -> contracted id
+        for i, v in enumerate(group):
+            cid[v] = i
+        first = [-1] * nc
+        to, cap, nxt = [], [], []
         for u, v, w in edges:
-            a, b = comp[owner[u]], comp[owner[v]]
-            if a is None:
-                a = local[u]
-            if b is None:
-                b = local[v]
-            if a != b:
-                key = (a, b) if a < b else (b, a)
-                caps[key] = caps.get(key, 0) + w
+            x, y = cid[u], cid[v]
+            if x != y:
+                a = len(to)
+                to += (y, x)
+                cap += (w, w)
+                nxt += (first[x], first[y])
+                first[x] = a
+                first[y] = a + 1
         s, t = terms[gi][0], terms[gi][1]
-        arcs = [(a, b, w) for (a, b), w in caps.items()]
-        if degree[t] < degree[s]:
-            value, side = max_flow_min_cut(nc, arcs, local[t], local[s])
-            side = frozenset(range(nc)) - side
-        else:
-            value, side = max_flow_min_cut(nc, arcs, local[s], local[t])
+        flip = degree[t] < degree[s]
+        if flip:
+            s, t = t, s
+        value, level = max_flow_on_arcs(nc, first, to, cap, nxt,
+                                        cid[s], cid[t])
+        side = [(x >= 0) != flip for x in level]
         bi = len(members)
-        members[gi] = [v for i, v in enumerate(group) if i in side]
-        members.append([v for i, v in enumerate(group) if i not in side])
+        members[gi] = [v for i, v in enumerate(group) if side[i]]
+        members.append([v for i, v in enumerate(group) if not side[i]])
         for v in members[bi]:
             owner[v] = bi
         terms.append([x for x in terms[gi] if owner[x] == bi])
         terms[gi] = [x for x in terms[gi] if owner[x] == gi]
-        moved = {nb: w for nb, w in tree[gi].items() if comp[nb] not in side}
+        moved = {nb: w for nb, w in tree[gi].items() if not side[comp[nb]]}
         for nb, w in moved.items():
             del tree[gi][nb]
             del tree[nb][gi]

@@ -350,10 +350,11 @@ def member_trees(collection: Collection):
     edges and self-loops, so they have the same minimum cuts.  One
     Gomory-Hu tree is built per key, on the key's capacities with the
     original faces as terminals, and each member of the key gets it with its
-    annotation weight added to every edge.  The keys are dealt to one worker
-    per available CPU (at most one per key), forked where ``os.fork``
-    exists; the trees are put back by key, so the result does not depend on
-    the number of workers.
+    annotation weight added to every edge (a member of annotation weight 0
+    gets the key's tree itself).  The keys are dealt to one worker per
+    available CPU (at most one per key), forked where ``os.fork`` exists;
+    the trees are put back by key, so the result does not depend on the
+    number of workers.
     """
     base = collection.face_count
     first = {}          # each key once, so that equal keys share one tuple
@@ -377,7 +378,8 @@ def member_trees(collection: Collection):
     for m, key in zip(collection.members, keys):
         t = by_key[key]
         offset = m.annotation_weight
-        trees.append(t.with_weights([w + offset for _, _, w in t.edges]))
+        trees.append(t.with_weights([w + offset for _, _, w in t.edges])
+                     if offset else t)
     return trees
 
 

@@ -27,6 +27,7 @@ try:
     from surfcut import _dinic
     KERNELS = [_dinic.max_flow, _dinic_py.max_flow]
 except ImportError:
+    _dinic = None
     KERNELS = [_dinic_py.max_flow]
 
 
@@ -280,17 +281,74 @@ class TestIncrementalGomoryHu:
         terms = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         calls = []
 
+        flow = cuttree.max_flow_on_arcs
+
         def counted(*args):
             calls.append(args)
-            return max_flow_min_cut(*args)
+            return flow(*args)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(cuttree, "max_flow_min_cut", counted)
+            m.setattr(cuttree, "max_flow_on_arcs", counted)
             t = gomory_hu(n, edges, terminals=terms)
         assert len(calls) == len(terms) - 1
         assert t.nodes == tuple(sorted(terms))
         for x, y in itertools.combinations(sorted(terms), 2):
             assert t.path_min(x, y) == max_flow_min_cut(n, edges, x, y)[0]
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    """A multigraph on 2..9 vertices with parallel edges, zero weights and
+    self-loops, and two distinct terminals."""
+    n = draw(st.integers(2, 9))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3)),
+                          max_size=18))
+    s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    return n, edges, s, t
+
+
+def arc_arrays(n, edges):
+    """The kernel's arc arrays, written one edge at a time as
+    ``gomory_hu`` writes them, but with self-loops kept."""
+    first = [-1] * n
+    to, cap, nxt = [], [], []
+    for u, v, w in edges:
+        a = len(to)
+        to += (v, u)
+        cap += (w, w)
+        nxt += (first[u], first[v])
+        first[u] = a
+        first[v] = a + 1
+    return first, to, cap, nxt
+
+
+class TestArcArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(loopy_multigraphs())
+    def test_search_matches_edge_list_entry(self, case):
+        n, edges, s, t = case
+        for x, y in ((s, t), (t, s)):
+            # the residual source side is the least minimum cut's side, the
+            # one the enumeration finds first
+            want = max_flow_min_cut(n, edges, x, y)
+            assert want == brute_force_min_cut(n, edges, x, y)
+            for flow in (_dinic_py.search, cuttree.max_flow_on_arcs):
+                value, level = flow(n, *arc_arrays(n, edges), x, y)
+                assert (value, {v for v in range(n) if level[v] >= 0}) \
+                    == want
+
+    @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
+    @settings(max_examples=200, deadline=None)
+    @given(multigraphs())
+    def test_gomory_hu_equal_on_both_kernels(self, graph):
+        n, edges = graph
+        trees = []
+        for kernel in (_dinic, _dinic_py):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(cuttree, "_dinic", kernel)
+                trees.append(gomory_hu(n, edges))
+        assert trees[0] == trees[1]
 
 
 class TestDualCutTree:
