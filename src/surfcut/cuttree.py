@@ -101,23 +101,10 @@ class CutTree:
                     stack.append((v, w if m is None else min(m, w)))
         raise KeyError(f"{y} not in tree")
 
-    def bipartition(self, edge_index):
-        """Node set on the first-endpoint side of the given tree edge."""
-        u, v, _ = self.edges[edge_index]
-        adj = self.adjacency()
-        side = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y, _, i in adj[x]:
-                if i != edge_index and y not in side:
-                    side.add(y)
-                    stack.append(y)
-        return frozenset(side)
-
     def bipartitions(self):
-        """``bipartition(i)`` for every edge, in edge order, from one rooted
-        pass that collects the node set under every node."""
+        """The node set on the first-endpoint side of every edge, in edge
+        order, from one rooted pass that collects the node set under every
+        node."""
         adj = self.adjacency()
         root = self.nodes[0]
         up = {root: None}           # node -> index of the edge to its parent

@@ -13,6 +13,10 @@ it.  A member's cut tree already spans exactly the original faces, so its
 region tree is the tree itself rooted at its least node, with one leaf hung
 under every node.  Members with equal tree edges hold equal cuts, so only
 the first of each edge set is cross-checked and merged.
+
+The cross-check reads no table of pair answers: a cut is minimum exactly
+when it splits a class of the partition that all lighter input cuts refine,
+so one pass over the cuts in weight order finds every minimum cut.
 """
 
 from __future__ import annotations
@@ -182,42 +186,51 @@ def project_member_tree(t: CutTree) -> LeafTree:
     return LeafTree(region[first], parent)
 
 
-def _all_pairs_query(trees, nodes):
-    table = {}
-    for x, y in itertools.combinations(nodes, 2):
-        best = None
-        for t in trees:
-            res = t.min_cut(x, y)
-            if res is not None and (best is None or res[0] < best):
-                best = res[0]
-        table[(x, y)] = best
-    return table
+def _split_classes(cls, size, side):
+    """The nodes of ``side`` in each class that ``side`` splits."""
+    met = {}
+    for x in side:
+        met.setdefault(cls[x], []).append(x)
+    return [xs for c, xs in met.items() if len(xs) < size[c]]
 
 
 def detect_crossing_minimum_cuts(leaf_trees, nodes):
     """Raise CrossingCutsError if two inputs hold crossing minimum cuts.
 
     A cut of an input is minimum when its weight equals the best answer over
-    all inputs for some pair it separates.  The minimum cuts, each side
-    normalized to exclude ``min(nodes)``, must form a laminar family: they are
-    inserted largest first, and every element of a new side must lie in the
-    same smallest earlier side (or in none).
+    all inputs for some pair it separates.  That answer is the lightest input
+    cut separating the pair, so a cut of weight w is minimum exactly when it
+    splits a class of the partition of ``nodes`` that all cuts lighter than w
+    refine; every input's leaves must include ``nodes``.  The cuts split that
+    partition in weight order, a group of equal weight only after all of the
+    group is tested: a tied cut is minimum even when other cuts of its weight
+    together separate everything it separates.
+
+    The minimum cuts, each side normalized to exclude ``min(nodes)``, must
+    form a laminar family: they are inserted largest first, and every element
+    of a new side must lie in the same smallest earlier side (or in none).
     """
     universe = frozenset(nodes)
     r0 = min(universe)
-    table = _all_pairs_query(leaf_trees, nodes)
-    candidates = []
-    for i, t in enumerate(leaf_trees):
-        under = t._shape[1]
-        for node, p in t.parent.items():
-            if p is None or p[1] is None:
-                continue
-            side = under[node] & universe
-            rest = universe - side
-            w = p[1]
-            if any(table[(x, y) if x < y else (y, x)] == w
-                   for x in side for y in rest):
-                candidates.append((i, rest if r0 in side else side))
+    cuts = [(p[1], i, t._shape[1][node] & universe)
+            for i, t in enumerate(leaf_trees)
+            for node, p in t.parent.items()
+            if p is not None and p[1] is not None]
+    cls = dict.fromkeys(universe, 0)
+    size = [len(universe)]          # class id -> its node count
+    minimum = set()
+    by_weight = sorted(range(len(cuts)), key=lambda k: cuts[k][0])
+    for _, group in itertools.groupby(by_weight, key=lambda k: cuts[k][0]):
+        group = [k for k in group if _split_classes(cls, size, cuts[k][2])]
+        minimum.update(group)
+        for k in group:     # split only after the whole group is tested
+            for xs in _split_classes(cls, size, cuts[k][2]):
+                size[cls[xs[0]]] -= len(xs)
+                size.append(len(xs))
+                for x in xs:
+                    cls[x] = len(size) - 1
+    candidates = [(i, universe - side if r0 in side else side)
+                  for k, (_, i, side) in enumerate(cuts) if k in minimum]
     candidates.sort(key=lambda c: len(c[1]), reverse=True)
     owner = {}          # element -> index of the smallest side so far holding it
     for k, (i, side) in enumerate(candidates):

@@ -119,6 +119,6 @@ def cut_partition(idx: CartesianIndex, x, y):
     if x == y:
         raise ValueError("query endpoints must differ")
     node = idx.lca(idx.leaf_of[x], idx.leaf_of[y])
-    side = idx.tree.bipartition(idx.edge_index[node])
+    side = idx.tree.bipartitions()[idx.edge_index[node]]
     rest = frozenset(idx.tree.nodes) - side
     return (side, rest) if x in side else (rest, side)

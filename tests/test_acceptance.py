@@ -76,7 +76,7 @@ def test_criterion_1_cut_trees_match_max_flow():
         for x, y in itertools.combinations(range(n), 2):
             assert t.path_min(x, y) == max_flow_min_cut(n, edges, x, y)[0]
             checked += 1
-        sides = [t.bipartition(i) for i in range(len(t.edges))]
+        sides = t.bipartitions()
         universe = frozenset(range(n))
         for p, q in itertools.combinations(sides, 2):
             assert not (p & q and p - q and q - p and universe - (p | q))

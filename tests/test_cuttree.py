@@ -108,7 +108,7 @@ class TestGomoryHu:
                   zip(edges, weights.perturb([w for _, _, w in edges], seed=3))]
         t = gomory_hu(n, pedges)
         assert validate_cut_tree(t, n, pedges) == []
-        sides = [t.bipartition(i) for i in range(len(t.edges))]
+        sides = t.bipartitions()
         assert laminar(sides, frozenset(range(n)))
 
     def test_deterministic(self):

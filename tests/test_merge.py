@@ -8,6 +8,7 @@ from surfcut.cuttree import CutTree, gomory_hu
 from surfcut.errors import CrossingCutsError
 from surfcut.merge import (
     LeafTree,
+    detect_crossing_minimum_cuts,
     leaf_tree_from_cuts,
     merged_collection_tree,
     project_member_tree,
@@ -78,8 +79,7 @@ class TestRestrict:
         ra = lt.restrict(a_set, "beta")
         got = tree_cuts(ra)
         want = {}
-        for i, (_, _, w) in enumerate(t.edges):
-            side = t.bipartition(i)
+        for (_, _, w), side in zip(t.edges, t.bipartitions()):
             rest = universe - side
             if side & a_set and side - a_set and rest & a_set \
                     and rest - a_set:
@@ -102,8 +102,7 @@ class TestRestrict:
         a_set = frozenset({1, 3, 5, 7, 9, 11})
         ra = lt.restrict(a_set, "beta")
         kept = set(tree_cuts(ra))
-        for i in range(len(t.edges)):
-            side = t.bipartition(i)
+        for side in t.bipartitions():
             small = min((side, frozenset(range(12)) - side), key=len)
             if small <= a_set:
                 key = min((small, (a_set | {"beta"}) - small),
@@ -151,7 +150,7 @@ class TestMerge:
         other = base.with_weights(
             weights.perturb([3] * len(base.edges), 99))
         merged = merged_collection_tree([base, other])
-        sides = [merged.bipartition(i) for i in range(len(merged.edges))]
+        sides = merged.bipartitions()
         universe = frozenset(range(15))
         for p, q in itertools.combinations(sides, 2):
             assert not (p & q and p - q and q - p and universe - (p | q))
@@ -166,8 +165,7 @@ class TestMerge:
                 sorted((u, v, w) for (u, v), w in zip(base, ws)))))
         merged = merged_collection_tree(trees)
         for t in trees:
-            for i, (_, _, w) in enumerate(t.edges):
-                side = t.bipartition(i)
+            for (_, _, w), side in zip(t.edges, t.bipartitions()):
                 for x in side:
                     for y in frozenset(range(20)) - side:
                         assert merged.path_min(x, y) <= w
@@ -177,6 +175,22 @@ class TestMerge:
         t2 = CutTree((0, 1, 2, 3), ((0, 2, 5), (1, 2, 1), (1, 3, 5)))
         with pytest.raises(CrossingCutsError):
             merged_collection_tree([t1, t2])
+
+    def test_crossing_check_asks_no_pair_queries(self, monkeypatch):
+        def no_query(self, a, b):
+            raise AssertionError("the crossing check queried a pair")
+
+        monkeypatch.setattr(LeafTree, "min_cut", no_query)
+        t1 = CutTree((0, 1, 2, 3), ((0, 1, 5), (1, 2, 1), (2, 3, 5)))
+        t2 = CutTree((0, 1, 2, 3), ((0, 2, 5), (1, 2, 1), (1, 3, 5)))
+        with pytest.raises(CrossingCutsError):
+            detect_crossing_minimum_cuts(
+                [region_tree(t1), region_tree(t2)], [0, 1, 2, 3])
+        laminar = [random_perturbed_tree(12, 4)]
+        laminar.append(laminar[0].with_weights(
+            weights.perturb([3] * len(laminar[0].edges), 99)))
+        detect_crossing_minimum_cuts([region_tree(t) for t in laminar],
+                                     list(range(12)))
 
 
 class TestCollectionMerge:

@@ -21,7 +21,6 @@ from surfcut.errors import (  # noqa: E402
 )
 from surfcut.merge import (  # noqa: E402
     LeafTree,
-    _all_pairs_query,
     _fresh,
     _nkey,
     detect_crossing_minimum_cuts,
@@ -101,6 +100,20 @@ def dfs_leaves(lt, node):
         else:
             out.add(x)
     return frozenset(out)
+
+
+def _all_pairs_query(trees, nodes):
+    """The best answer over the inputs for every pair of nodes: the table
+    the crossing check filled before its weight-ordered pass."""
+    table = {}
+    for x, y in itertools.combinations(nodes, 2):
+        best = None
+        for t in trees:
+            res = t.min_cut(x, y)
+            if res is not None and (best is None or res[0] < best):
+                best = res[0]
+        table[(x, y)] = best
+    return table
 
 
 def _cross(p, q, universe):
@@ -377,6 +390,9 @@ def test_rooted_projection_matches_bipartitions(n, seed):
 @SETTINGS
 @example([CutTree((0, 1, 2, 3), ((0, 1, 5), (1, 2, 1), (2, 3, 5))),
           CutTree((0, 1, 2, 3), ((0, 2, 5), (1, 2, 1), (1, 3, 5)))])
+@example([CutTree((0, 1, 2, 3), ((0, 1, 1), (0, 2, 1), (0, 3, 5))),
+          CutTree((0, 1, 2, 3), ((0, 2, 1), (0, 3, 5), (1, 2, 5))),
+          CutTree((0, 1, 2, 3), ((0, 1, 5), (0, 3, 2), (2, 3, 5)))])
 @given(tree_sets())
 def test_laminarity_check_matches_all_pairs_scan(trees):
     lts = [region_tree(t) for t in trees]
