@@ -6,9 +6,10 @@ index from the stored tree and answers each pair line in O(1).
 Global flags are ``--seed`` and ``--format``.  Exit codes: 0 success, 2
 input failure (a malformed graph or artifact, or a bad query pair line), 3
 genus above ``reduction.GENUS_MAX`` (2), 4 crossing minimum cuts during
-merge, 5 a forked member-tree worker that ended without sending its trees
-(``WorkerError``, naming its exit status).  An error raised inside a worker
-reaches the CLI with its own type and exit code.  No edge count is refused:
+merge, 5 a forked worker that ended without sending its result: a
+collection worker its members, or a member-tree worker its trees
+(``WorkerError``, naming its kind and exit status).  An error raised inside
+a worker reaches the CLI with its own type and exit code.  No edge count is refused:
 the weight perturbation's scale grows with the instance.
 """
 

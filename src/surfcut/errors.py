@@ -39,4 +39,5 @@ class NoPathError(SurfcutError):
 
 
 class WorkerError(SurfcutError):
-    """A forked member-tree worker ended without sending back its result."""
+    """A forked collection or member-tree worker ended without sending back
+    its result."""

@@ -17,7 +17,7 @@ import contextlib
 import os
 import pickle
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import cuttree
 from .cuttree import max_flow_min_cut
@@ -67,6 +67,20 @@ class Collection:
 
     def __len__(self):
         return len(self.members)
+
+
+@dataclass
+class _Tally:
+    """What one part of the recursion opened: members and skip lines in
+    order, and its member slots."""
+    members: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
+    attempted: int = 0
+
+    def add(self, other):
+        self.members += other.members
+        self.skipped += other.skipped
+        self.attempted += other.attempted
 
 
 def expected_size(genus: int) -> int:
@@ -149,13 +163,18 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
     subtree's members outweighs every answer, so none of them can win a
     query or be a minimum cut.  Its slots still count in ``attempted`` and
     it leaves one skip line.  Raises GenusLimitError above ``GENUS_MAX``.
+
+    The root's nonzero classes share nothing until their members are
+    joined, so they are opened by one worker per available CPU (at most one
+    per class), forked where ``os.fork`` exists; each worker takes the next
+    class as it finishes one.  Each class's members, skip lines and slots
+    are put back in class order, so the collection does not depend on the
+    number of workers or on which worker opened which class.  Below the
+    root every class is opened in the process that holds its parent.
     """
     if g.genus > GENUS_MAX:
         raise GenusLimitError(
             f"genus {g.genus} exceeds the maximum {GENUS_MAX}")
-    members = []
-    skipped = []
-    attempted = [0]
     ordinary = frozenset(g.ordinary_faces())
     bound = answer_bound(g)
 
@@ -167,13 +186,13 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
                     if p in parent_face_map}
         return edge_map, face_map
 
-    def recurse(h, edge_map, face_map, annotation, weight, prov, cuts,
-                split=None):
+    def recurse(out, h, edge_map, face_map, annotation, weight, prov, cuts,
+                split=None, root=False):
         if h.genus == 0:
-            attempted[0] += 1
+            out.attempted += 1
             if frozenset(face_map.values()) != ordinary:
                 raise AssertionError("member lost an original face")
-            members.append(AnnotatedPlanar(
+            out.members.append(AnnotatedPlanar(
                 labelled_dual(h, edge_map, face_map, split),
                 tuple(annotation), weight, tuple(prov), tuple(cuts)))
             return
@@ -183,26 +202,30 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
         walks, missing = tight_cycle_walk(h, basis)
         classes = 1 << (2 * h.genus)
         for c, reason in missing.items():
-            attempted[0] += slot * (1 + classes)
-            skipped.append(f"{where}: cycle class {c}: {reason}")
-        for c in sorted(walks):
+            out.attempted += slot * (1 + classes)
+            out.skipped.append(f"{where}: cycle class {c}: {reason}")
+
+        def open_class(c):
+            out = _Tally()
             walk = walks[c]
             try:
                 cut, b1, b2 = _cut_cycle(h, walk)
             except (SeparatingCutError, CurveShapeError) as exc:
-                attempted[0] += slot * (1 + classes)
-                skipped.append(f"{where}: cycle class {c} cut: {exc}")
-                continue
+                out.attempted += slot * (1 + classes)
+                out.skipped.append(f"{where}: cycle class {c} cut: {exc}")
+                return out
             cyc_orig = frozenset(edge_map[e] for e in walk.edge_set())
             em, fm = compose(edge_map, face_map, cut)
             child_weight = weight + sum(g.weight(e) for e in cyc_orig)
             if child_weight > bound:
-                attempted[0] += slot
-                skipped.append(f"{where}: cycle class {c}: annotation "
-                               f"{child_weight} exceeds answer bound {bound}")
+                out.attempted += slot
+                out.skipped.append(f"{where}: cycle class {c}: annotation "
+                                   f"{child_weight} exceeds answer bound "
+                                   f"{bound}")
             else:
-                recurse(cut, em, fm, annotation + [cyc_orig], child_weight,
-                        prov + [f"cycle h={c}"], cuts + [("cycle", cyc_orig)])
+                recurse(out, cut, em, fm, annotation + [cyc_orig],
+                        child_weight, prov + [f"cycle h={c}"],
+                        cuts + [("cycle", cyc_orig)])
             leaf = cut.genus == 0
             sigs = _inherited_signatures(cut, basis)
             paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
@@ -219,21 +242,30 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
                     except (SeparatingCutError, CurveShapeError) as exc:
                         reason = exc
                 if reason is not None:
-                    attempted[0] += slot
-                    skipped.append(f"{where}: pair h={c} p={target}: {reason}")
+                    out.attempted += slot
+                    out.skipped.append(
+                        f"{where}: pair h={c} p={target}: {reason}")
                     continue
                 path = {x // 2 for x in darts}
                 args = (annotation, weight, prov + [f"pair h={c} p={target}"],
                         cuts + [("pair", cyc_orig,
                                  frozenset(em[e] for e in path))])
                 if leaf:    # the cut graph stands in, split along the path
-                    recurse(cut, em, fm, *args, (b1, b2, path))
+                    recurse(out, cut, em, fm, *args, (b1, b2, path))
                 else:
-                    recurse(both, *compose(em, fm, both), *args)
+                    recurse(out, both, *compose(em, fm, both), *args)
+            return out
 
-    identity = tuple(range(g.edge_count))
-    recurse(g, identity, {f: f for f in ordinary}, [], 0, [], [])
-    return Collection(tuple(members), attempted[0], tuple(skipped),
+        order = sorted(walks)
+        opened = (_open_in_workers(open_class, order) if root
+                  else {c: open_class(c) for c in order})
+        for c in order:
+            out.add(opened[c])
+
+    out = _Tally()
+    recurse(out, g, tuple(range(g.edge_count)), {f: f for f in ordinary},
+            [], 0, [], [], root=True)
+    return Collection(tuple(out.members), out.attempted, tuple(out.skipped),
                       len(ordinary))
 
 
@@ -256,6 +288,41 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
+def _worker_count(items):
+    """Workers for ``items`` independent items: one per available CPU, at
+    most one per item, and one where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(available_cpus(), items))
+
+
+def _open_in_workers(open_class, classes):
+    """``{c: open_class(c) for c in classes}``, opened by one worker per
+    available CPU (at most one per class).  A class's cost is unknown until
+    its tight paths are found, so no worker gets a fixed share: each takes
+    the next class off one pipe, one byte per class, until it is empty."""
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "wb") as fh:      # at most 15 classes at genus 2
+            fh.write(bytes(range(len(classes))))
+
+        def open_next(_):
+            opened = []
+            while token := os.read(r, 1):
+                c = classes[token[0]]
+                opened.append((c, open_class(c)))
+            return opened
+
+        by_class = {}
+        for opened in _forked_map(open_next,
+                                  [None] * _worker_count(len(classes)),
+                                  worker="collection", sends="members"):
+            by_class.update(opened)
+        return by_class
+    finally:
+        os.close(r)
+
+
 def _deal(keys, count):
     """``keys`` dealt into ``count`` shares of similar size: largest key
     first, each to the share with the fewest capacity entries so far."""
@@ -268,10 +335,11 @@ def _deal(keys, count):
     return shares
 
 
-def _in_child(fn, share, r, w):
+def _in_child(fn, share, r, w, worker):
     """Forked child: pickle ``fn(share)``, or the exception it raised, into
     pipe ``w`` and exit without returning.  If that does not pickle, a
-    WorkerError naming the pickling failure goes in its place."""
+    WorkerError naming the pickling failure and the ``worker`` kind goes in
+    its place."""
     code = 1
     try:
         os.close(r)
@@ -285,7 +353,7 @@ def _in_child(fn, share, r, w):
             what = (f"the {type(out).__name__} it raised"
                     if isinstance(out, Exception) else "its result")
             data = pickle.dumps(WorkerError(
-                f"member-tree worker {os.getpid()} could not pickle {what}: "
+                f"{worker} worker {os.getpid()} could not pickle {what}: "
                 f"{type(exc).__name__}: {exc}"))
         with os.fdopen(w, "wb") as fh:
             fh.write(data)
@@ -294,13 +362,13 @@ def _in_child(fn, share, r, w):
         os._exit(code)
 
 
-def _forked_map(fn, shares):
+def _forked_map(fn, shares, *, worker, sends):
     """``[fn(s) for s in shares]``: share 0 in this process and every other
     share in a child forked with one pipe.  A child's exception is raised
     here with its type; a child that ends without a result raises
-    WorkerError.  Every child is reaped before this returns or raises, and
-    killed first if this process fails.  The build runs no threads, so a
-    plain fork is safe."""
+    WorkerError, naming the ``worker`` kind and what it ``sends``.  Every
+    child is reaped before this returns or raises, and killed first if this
+    process fails.  The build runs no threads, so a plain fork is safe."""
     children = []                       # [pid or None once reaped, read end]
     try:
         for share in shares[1:]:
@@ -312,7 +380,7 @@ def _forked_map(fn, shares):
                 os.close(w)
                 raise
             if pid == 0:
-                _in_child(fn, share, r, w)
+                _in_child(fn, share, r, w, worker)
             os.close(w)
             children.append([pid, r])
         results = [fn(shares[0])]
@@ -326,8 +394,8 @@ def _forked_map(fn, shares):
             if status != 0 or not chunks:
                 how = (f"was killed by signal {-status}" if status < 0
                        else f"exited with status {status}")
-                raise WorkerError(f"member-tree worker {pid} {how} "
-                                  f"without sending its trees")
+                raise WorkerError(f"{worker} worker {pid} {how} "
+                                  f"without sending its {sends}")
             out = pickle.loads(b"".join(chunks))
             if isinstance(out, Exception):
                 raise out
@@ -361,10 +429,7 @@ def member_trees(collection: Collection):
     keys = [first.setdefault(k, k)
             for k in map(member_key, collection.members)]
     distinct = list(first)
-    workers = 1
-    if hasattr(os, "fork"):
-        workers = max(1, min(available_cpus(), len(distinct)))
-    shares = _deal(distinct, workers)
+    shares = _deal(distinct, _worker_count(len(distinct)))
 
     def build(share):
         return [cuttree.gomory_hu(max([base] + [y + 1 for _, y, _ in key]),
@@ -372,7 +437,9 @@ def member_trees(collection: Collection):
                 for key in share]
 
     by_key = {}
-    for share, trees in zip(shares, _forked_map(build, shares)):
+    for share, trees in zip(shares, _forked_map(build, shares,
+                                                worker="member-tree",
+                                                sends="trees")):
         by_key.update(zip(share, trees))
     trees = []
     for m, key in zip(collection.members, keys):

@@ -154,6 +154,32 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("action, code, message", [
+        ("raise", 4, "error: minimum cuts cross in a collection worker"),
+        ("exit", 5, "exited with status 3 without sending its members"),
+    ])
+    def test_collection_worker_failure(self, torus_file, monkeypatch, capsys,
+                                       action, code, message):
+        parent, real = os.getpid(), reduction.tight_path
+
+        def tight_path(*args, **kwargs):
+            if os.getpid() != parent:
+                if action == "exit":
+                    os._exit(3)
+                raise CrossingCutsError(
+                    "minimum cuts cross in a collection worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        monkeypatch.setattr(reduction, "tight_path", tight_path)
+        assert run(["build", str(torus_file)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestBuildQuery:
     def test_round_trip_matches_oracle(self, torus_file, tmp_path, capsys):

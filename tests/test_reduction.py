@@ -462,33 +462,48 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def trees_with_cpus(monkeypatch, coll, cpus):
-    """``member_trees(coll)`` as if ``cpus`` CPUs were available, and the
-    number of children it forked."""
+def with_cpus(monkeypatch, cpus, build, arg):
+    """``build(arg)`` as if ``cpus`` CPUs were available, and the number of
+    children it forked.  A fork inside a forked worker fails the worker."""
     forks = []
-    real_fork = os.fork
+    parent, real_fork = os.getpid(), os.fork
 
     def fork():
+        assert os.getpid() == parent, "a forked worker forked"
         forks.append(1)
         return real_fork()
 
     with monkeypatch.context() as mp:
         mp.setattr(reduction, "available_cpus", lambda: cpus)
         mp.setattr(os, "fork", fork)
-        trees = member_trees(coll)
+        out = build(arg)
     assert_no_child()
-    return trees, len(forks)
+    return out, len(forks)
 
 
-def in_children(action):
-    """A ``gomory_hu`` that runs ``action`` in forked workers only."""
-    parent, real = os.getpid(), cuttree.gomory_hu
+def in_children(real, action):
+    """``real``, running ``action`` first in forked workers only."""
+    parent = os.getpid()
 
-    def gomory_hu(*args, **kwargs):
+    def wrapped(*args, **kwargs):
         if os.getpid() != parent:
             action()
         return real(*args, **kwargs)
-    return gomory_hu
+    return wrapped
+
+
+SURFACES = pytest.mark.parametrize(
+    "g", [gen.torus_grid(k) for k in (3, 4, 5, 6)]
+    + [handle_grid(2), handle_grid(3), gen.double_torus_one_vertex()],
+    ids=["torus3", "torus4", "torus5", "torus6", "handle2", "handle3",
+         "double"])
+
+
+def weighted(g, perturbed):
+    """``g`` with random weights 1..9, perturbed with seed 5 if asked."""
+    rng = random.Random(g.edge_count)
+    g = g.with_weights([rng.randint(1, 9) for _ in range(g.edge_count)])
+    return weights.perturb_graph(g, seed=5) if perturbed else g
 
 
 class Unpicklable:
@@ -504,27 +519,19 @@ class TestForkedMemberTrees:
     worker's failure comes back typed, and no child outlives a build."""
 
     @pytest.mark.parametrize("perturbed", [False, True])
-    @pytest.mark.parametrize("g", [gen.torus_grid(k) for k in (3, 4, 5, 6)]
-                             + [handle_grid(2), handle_grid(3),
-                                gen.double_torus_one_vertex()],
-                             ids=["torus3", "torus4", "torus5", "torus6",
-                                  "handle2", "handle3", "double"])
+    @SURFACES
     def test_forked_trees_equal_one_worker(self, monkeypatch, g, perturbed):
-        rng = random.Random(g.edge_count)
-        g = g.with_weights([rng.randint(1, 9) for _ in range(g.edge_count)])
-        if perturbed:
-            g = weights.perturb_graph(g, seed=5)
-        coll = planar_collection(g)
+        coll = planar_collection(weighted(g, perturbed))
         keys = len({member_key(m) for m in coll.members})
-        one, forks = trees_with_cpus(monkeypatch, coll, 1)
+        one, forks = with_cpus(monkeypatch, 1, member_trees, coll)
         assert forks == 0
-        many, forks = trees_with_cpus(monkeypatch, coll, 4)
+        many, forks = with_cpus(monkeypatch, 4, member_trees, coll)
         assert forks == min(4, keys) - 1
         assert many == one
 
     def test_without_fork_every_share_runs_here(self, monkeypatch):
         coll = planar_collection(random_torus(3, 1))
-        want, _ = trees_with_cpus(monkeypatch, coll, 1)
+        want, _ = with_cpus(monkeypatch, 1, member_trees, coll)
         monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
         assert member_trees(coll) == want
@@ -534,7 +541,8 @@ class TestForkedMemberTrees:
             raise CrossingCutsError("raised in a worker")
 
         coll = planar_collection(random_torus(3, 1))
-        monkeypatch.setattr(cuttree, "gomory_hu", in_children(cross))
+        monkeypatch.setattr(cuttree, "gomory_hu",
+                            in_children(cuttree.gomory_hu, cross))
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
         with pytest.raises(CrossingCutsError, match="raised in a worker"):
             member_trees(coll)
@@ -547,7 +555,8 @@ class TestForkedMemberTrees:
     ], ids=["exit", "killed"])
     def test_worker_death_raises(self, monkeypatch, action, status):
         coll = planar_collection(random_torus(3, 1))
-        monkeypatch.setattr(cuttree, "gomory_hu", in_children(action))
+        monkeypatch.setattr(cuttree, "gomory_hu",
+                            in_children(cuttree.gomory_hu, action))
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
         with pytest.raises(WorkerError, match=status):
             member_trees(coll)
@@ -565,7 +574,8 @@ class TestForkedMemberTrees:
 
         with pytest.raises(WorkerError, match=(
                 f"could not pickle {what}: TypeError: {Unpicklable.WHY}")):
-            reduction._forked_map(share_fn, [0, 1])
+            reduction._forked_map(share_fn, [0, 1], worker="member-tree",
+                                  sends="trees")
         assert_no_child()
 
     def test_parent_failure_reaps_workers(self, monkeypatch):
@@ -587,6 +597,76 @@ class TestForkedMemberTrees:
         keys = [(1,) * n for n in (1, 5, 2, 4, 3)]
         assert reduction._deal(keys, 2) == [[(1,) * 5, (1,) * 2, (1,) * 1],
                                             [(1,) * 4, (1,) * 3]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedCollection:
+    """The root's classes opened in forked workers give the one-worker
+    collection in order, nothing below the root forks, a worker's failure
+    comes back typed, and no child outlives a build."""
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @SURFACES
+    def test_forked_collection_equals_one_worker(self, monkeypatch, g,
+                                                 perturbed):
+        g = weighted(g, perturbed)
+        walks, _ = tight_cycle_walk(g, homology_basis(g))
+        one, forks = with_cpus(monkeypatch, 1, planar_collection, g)
+        assert forks == 0
+        many, forks = with_cpus(monkeypatch, 4, planar_collection, g)
+        assert forks == min(4, len(walks)) - 1
+        assert many.members == one.members
+        assert many.attempted == one.attempted
+        assert many.skipped == one.skipped
+        assert many.face_count == one.face_count
+
+    def test_without_fork_every_share_runs_here(self, monkeypatch):
+        g = random_handle2(1)
+        want, _ = with_cpus(monkeypatch, 1, planar_collection, g)
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert planar_collection(g) == want
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        def cross():
+            raise CrossingCutsError("raised in a collection worker")
+
+        monkeypatch.setattr(reduction, "tight_path",
+                            in_children(reduction.tight_path, cross))
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        with pytest.raises(CrossingCutsError,
+                           match="raised in a collection worker"):
+            planar_collection(random_torus(3, 1))
+        assert_no_child()
+
+    @pytest.mark.parametrize("action, status", [
+        (lambda: os._exit(7), "exited with status 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         f"was killed by signal {int(signal.SIGKILL)}"),
+    ], ids=["exit", "killed"])
+    def test_worker_death_raises(self, monkeypatch, action, status):
+        monkeypatch.setattr(reduction, "tight_path",
+                            in_children(reduction.tight_path, action))
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        with pytest.raises(WorkerError, match=(
+                rf"^collection worker \d+ {status} without sending its "
+                rf"members$")):
+            planar_collection(random_torus(3, 1))
+        assert_no_child()
+
+    def test_parent_failure_reaps_workers(self, monkeypatch):
+        parent, real = os.getpid(), reduction.tight_path
+
+        def tight_path(*args, **kwargs):
+            if os.getpid() == parent:
+                raise GenusLimitError("raised in the parent")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "tight_path", tight_path)
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
+        with pytest.raises(GenusLimitError):
+            planar_collection(random_handle2(2))
+        assert_no_child()
 
 
 class TestPairDerivation:
@@ -615,6 +695,8 @@ class TestPairDerivation:
             return out
 
         with pytest.MonkeyPatch.context() as mp:
+            # one worker, so that every call is made and recorded here
+            mp.setattr(reduction, "available_cpus", lambda: 1)
             mp.setattr(reduction, "check_curves", check)
             mp.setattr(reduction, "labelled_dual", labelled)
             coll = planar_collection(g)
