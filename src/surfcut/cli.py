@@ -138,6 +138,9 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
+    if args.max_weight < 1:
+        raise ValueError(
+            f"--max-weight must be at least 1, got {args.max_weight}")
     rng = random.Random(args.seed)
     if args.kind == "torus":
         k = args.size

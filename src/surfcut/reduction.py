@@ -165,12 +165,11 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
     it leaves one skip line.  Raises GenusLimitError above ``GENUS_MAX``.
 
     The root's nonzero classes share nothing until their members are
-    joined, so they are opened by one worker per available CPU (at most one
-    per class), forked where ``os.fork`` exists; each worker takes the next
-    class as it finishes one.  Each class's members, skip lines and slots
-    are put back in class order, so the collection does not depend on the
-    number of workers or on which worker opened which class.  Below the
-    root every class is opened in the process that holds its parent.
+    joined, so they are opened by ``_forked_map``'s worker pool.  Each
+    class's members, skip lines and slots are put back in class order, so
+    the collection does not depend on the number of workers or on which
+    worker opened which class.  Below the root every class is opened in the
+    process that holds its parent.
     """
     if g.genus > GENUS_MAX:
         raise GenusLimitError(
@@ -257,10 +256,10 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
             return out
 
         order = sorted(walks)
-        opened = (_open_in_workers(open_class, order) if root
-                  else {c: open_class(c) for c in order})
-        for c in order:
-            out.add(opened[c])
+        for opened in (_forked_map(open_class, order, worker="collection",
+                                   sends="members") if root
+                       else map(open_class, order)):
+            out.add(opened)
 
     out = _Tally()
     recurse(out, g, tuple(range(g.edge_count)), {f: f for f in ordinary},
@@ -288,63 +287,16 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
-def _worker_count(items):
-    """Workers for ``items`` independent items: one per available CPU, at
-    most one per item, and one where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(available_cpus(), items))
-
-
-def _open_in_workers(open_class, classes):
-    """``{c: open_class(c) for c in classes}``, opened by one worker per
-    available CPU (at most one per class).  A class's cost is unknown until
-    its tight paths are found, so no worker gets a fixed share: each takes
-    the next class off one pipe, one byte per class, until it is empty."""
-    r, w = os.pipe()
-    try:
-        with os.fdopen(w, "wb") as fh:      # at most 15 classes at genus 2
-            fh.write(bytes(range(len(classes))))
-
-        def open_next(_):
-            opened = []
-            while token := os.read(r, 1):
-                c = classes[token[0]]
-                opened.append((c, open_class(c)))
-            return opened
-
-        by_class = {}
-        for opened in _forked_map(open_next,
-                                  [None] * _worker_count(len(classes)),
-                                  worker="collection", sends="members"):
-            by_class.update(opened)
-        return by_class
-    finally:
-        os.close(r)
-
-
-def _deal(keys, count):
-    """``keys`` dealt into ``count`` shares of similar size: largest key
-    first, each to the share with the fewest capacity entries so far."""
-    shares = [[] for _ in range(count)]
-    loads = [0] * count
-    for key in sorted(keys, key=len, reverse=True):
-        i = loads.index(min(loads))
-        shares[i].append(key)
-        loads[i] += len(key)
-    return shares
-
-
-def _in_child(fn, share, r, w, worker):
-    """Forked child: pickle ``fn(share)``, or the exception it raised, into
-    pipe ``w`` and exit without returning.  If that does not pickle, a
+def _in_child(fn, r, w, worker):
+    """Forked child: pickle ``fn()``, or the exception it raised, into pipe
+    ``w`` and exit without returning.  If that does not pickle, a
     WorkerError naming the pickling failure and the ``worker`` kind goes in
     its place."""
     code = 1
     try:
         os.close(r)
         try:
-            out = fn(share)
+            out = fn()
         except Exception as exc:
             out = exc
         try:
@@ -362,16 +314,40 @@ def _in_child(fn, share, r, w, worker):
         os._exit(code)
 
 
-def _forked_map(fn, shares, *, worker, sends):
-    """``[fn(s) for s in shares]``: share 0 in this process and every other
-    share in a child forked with one pipe.  A child's exception is raised
-    here with its type; a child that ends without a result raises
-    WorkerError, naming the ``worker`` kind and what it ``sends``.  Every
-    child is reaped before this returns or raises, and killed first if this
-    process fails.  The build runs no threads, so a plain fork is safe."""
+def _forked_map(fn, items, *, worker, sends):
+    """``[fn(x) for x in items]``, run by one process per available CPU, at
+    most one per item, forked where ``os.fork`` exists; with one, all in
+    this process.  An item's cost is unknown until it runs, so no process
+    gets a fixed share: each, this one included, takes the next item index
+    off one pipe until it is empty, and the results are put back by index.
+
+    A child's exception is raised here with its type; a child that ends
+    without its results raises WorkerError, naming the ``worker`` kind and
+    what it ``sends``.  Every child is reaped before this returns or raises,
+    and killed first if this process fails.  The build runs no threads, so a
+    plain fork is safe."""
+    count = min(available_cpus(), len(items)) if hasattr(os, "fork") else 1
+    if count <= 1:
+        return [fn(x) for x in items]
+    tokens, fill = os.pipe()
     children = []                       # [pid or None once reaped, read end]
     try:
-        for share in shares[1:]:
+        # Every index goes in before the fork, 2 bytes each, while nothing
+        # reads the pipe yet: a write past its buffer (64 KiB on Linux)
+        # would hang the build here.  Items are at most one per member slot,
+        # expected_size(GENUS_MAX) = 5440, so at most 10,880 bytes.
+        with os.fdopen(fill, "wb") as fh:
+            fh.write(b"".join(i.to_bytes(2, "big")
+                              for i in range(len(items))))
+
+        def take():
+            done = []
+            while token := os.read(tokens, 2):
+                i = int.from_bytes(token, "big")
+                done.append((i, fn(items[i])))
+            return done
+
+        for _ in range(count - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -380,10 +356,10 @@ def _forked_map(fn, shares, *, worker, sends):
                 os.close(w)
                 raise
             if pid == 0:
-                _in_child(fn, share, r, w, worker)
+                _in_child(take, r, w, worker)
             os.close(w)
             children.append([pid, r])
-        results = [fn(shares[0])]
+        done = take()
         for child in children:
             pid, r = child
             chunks = []
@@ -399,9 +375,13 @@ def _forked_map(fn, shares, *, worker, sends):
             out = pickle.loads(b"".join(chunks))
             if isinstance(out, Exception):
                 raise out
-            results.append(out)
+            done += out
+        results = [None] * len(items)
+        for i, out in done:
+            results[i] = out
         return results
     finally:
+        os.close(tokens)
         for pid, r in children:
             os.close(r)
             if pid is not None:
@@ -419,28 +399,24 @@ def member_trees(collection: Collection):
     Gomory-Hu tree is built per key, on the key's capacities with the
     original faces as terminals, and each member of the key gets it with its
     annotation weight added to every edge (a member of annotation weight 0
-    gets the key's tree itself).  The keys are dealt to one worker per
-    available CPU (at most one per key), forked where ``os.fork`` exists;
-    the trees are put back by key, so the result does not depend on the
-    number of workers.
+    gets the key's tree itself).  The keys' trees are built by
+    ``_forked_map``'s worker pool, largest key first, so that the costliest
+    trees do not start last; they are put back by key, so the result does
+    not depend on the number of workers.
     """
     base = collection.face_count
     first = {}          # each key once, so that equal keys share one tuple
     keys = [first.setdefault(k, k)
             for k in map(member_key, collection.members)]
-    distinct = list(first)
-    shares = _deal(distinct, _worker_count(len(distinct)))
+    distinct = sorted(first, key=len, reverse=True)
 
-    def build(share):
-        return [cuttree.gomory_hu(max([base] + [y + 1 for _, y, _ in key]),
-                                  key, terminals=range(base))
-                for key in share]
+    def build(key):
+        return cuttree.gomory_hu(max([base] + [y + 1 for _, y, _ in key]),
+                                 key, terminals=range(base))
 
-    by_key = {}
-    for share, trees in zip(shares, _forked_map(build, shares,
-                                                worker="member-tree",
-                                                sends="trees")):
-        by_key.update(zip(share, trees))
+    by_key = dict(zip(distinct, _forked_map(build, distinct,
+                                            worker="member-tree",
+                                            sends="trees")))
     trees = []
     for m, key in zip(collection.members, keys):
         t = by_key[key]

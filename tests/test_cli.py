@@ -73,6 +73,17 @@ class TestExitCodes:
         assert "n >= 1" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["torus", "planar", "cycle"])
+    @pytest.mark.parametrize("weight", [0, -3])
+    def test_gen_max_weight_below_one_rejected(self, tmp_path, capsys, kind,
+                                               weight):
+        path = tmp_path / "w.graph"
+        assert run(["gen", kind, "--max-weight", str(weight),
+                    "-o", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --max-weight must be at least 1, got {weight}\n")
+        assert not path.exists()
+
     def test_genus_over_limit(self, tmp_path, capsys):
         g = gen.add_edge_between_faces(
             gen.add_edge_between_faces(gen.torus_grid(3), 0, 4), 0, 1)
@@ -134,19 +145,16 @@ class TestExitCodes:
         ("raise", 4, "error: minimum cuts cross in a worker"),
         ("exit", 5, "exited with status 3 without sending its trees"),
     ])
-    def test_worker_failure(self, torus_file, monkeypatch, capsys, action,
-                            code, message):
-        parent, real = os.getpid(), cuttree.gomory_hu
-
-        def gomory_hu(*args, **kwargs):
-            if os.getpid() != parent:
-                if action == "exit":
-                    os._exit(3)
-                raise CrossingCutsError("minimum cuts cross in a worker")
-            return real(*args, **kwargs)
+    def test_worker_failure(self, torus_file, monkeypatch, capsys,
+                            in_children, action, code, message):
+        def fail():
+            if action == "exit":
+                os._exit(3)
+            raise CrossingCutsError("minimum cuts cross in a worker")
 
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
-        monkeypatch.setattr(cuttree, "gomory_hu", gomory_hu)
+        monkeypatch.setattr(cuttree, "gomory_hu",
+                            in_children(cuttree.gomory_hu, fail))
         assert run(["build", str(torus_file)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -160,19 +168,16 @@ class TestExitCodes:
         ("exit", 5, "exited with status 3 without sending its members"),
     ])
     def test_collection_worker_failure(self, torus_file, monkeypatch, capsys,
-                                       action, code, message):
-        parent, real = os.getpid(), reduction.tight_path
-
-        def tight_path(*args, **kwargs):
-            if os.getpid() != parent:
-                if action == "exit":
-                    os._exit(3)
-                raise CrossingCutsError(
-                    "minimum cuts cross in a collection worker")
-            return real(*args, **kwargs)
+                                       in_children, action, code, message):
+        def fail():
+            if action == "exit":
+                os._exit(3)
+            raise CrossingCutsError(
+                "minimum cuts cross in a collection worker")
 
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
-        monkeypatch.setattr(reduction, "tight_path", tight_path)
+        monkeypatch.setattr(reduction, "tight_path",
+                            in_children(reduction.tight_path, fail))
         assert run(["build", str(torus_file)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -481,17 +481,6 @@ def with_cpus(monkeypatch, cpus, build, arg):
     return out, len(forks)
 
 
-def in_children(real, action):
-    """``real``, running ``action`` first in forked workers only."""
-    parent = os.getpid()
-
-    def wrapped(*args, **kwargs):
-        if os.getpid() != parent:
-            action()
-        return real(*args, **kwargs)
-    return wrapped
-
-
 SURFACES = pytest.mark.parametrize(
     "g", [gen.torus_grid(k) for k in (3, 4, 5, 6)]
     + [handle_grid(2), handle_grid(3), gen.double_torus_one_vertex()],
@@ -504,6 +493,10 @@ def weighted(g, perturbed):
     rng = random.Random(g.edge_count)
     g = g.with_weights([rng.randint(1, 9) for _ in range(g.edge_count)])
     return weights.perturb_graph(g, seed=5) if perturbed else g
+
+
+def fail_in_parent():
+    raise GenusLimitError("raised in the parent")
 
 
 class Unpicklable:
@@ -536,7 +529,7 @@ class TestForkedMemberTrees:
         monkeypatch.delattr(os, "fork")
         assert member_trees(coll) == want
 
-    def test_worker_error_keeps_its_type(self, monkeypatch):
+    def test_worker_error_keeps_its_type(self, monkeypatch, in_children):
         def cross():
             raise CrossingCutsError("raised in a worker")
 
@@ -553,7 +546,8 @@ class TestForkedMemberTrees:
         (lambda: os.kill(os.getpid(), signal.SIGKILL),
          f"killed by signal {int(signal.SIGKILL)}"),
     ], ids=["exit", "killed"])
-    def test_worker_death_raises(self, monkeypatch, action, status):
+    def test_worker_death_raises(self, monkeypatch, in_children, action,
+                                 status):
         coll = planar_collection(random_torus(3, 1))
         monkeypatch.setattr(cuttree, "gomory_hu",
                             in_children(cuttree.gomory_hu, action))
@@ -566,37 +560,79 @@ class TestForkedMemberTrees:
         (False, "its result"),
         (True, "the CrossingCutsError it raised"),
     ], ids=["returned", "raised"])
-    def test_unpicklable_outcome_raises(self, raises, what):
-        def share_fn(share):
-            if share and raises:
+    def test_unpicklable_outcome_raises(self, monkeypatch, in_children,
+                                        raises, what):
+        def fn(x):
+            if os.getpid() == parent:
+                return x
+            if raises:
                 raise CrossingCutsError(Unpicklable())
-            return Unpicklable() if share else None
+            return Unpicklable()
 
+        parent = os.getpid()
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
         with pytest.raises(WorkerError, match=(
                 f"could not pickle {what}: TypeError: {Unpicklable.WHY}")):
-            reduction._forked_map(share_fn, [0, 1], worker="member-tree",
-                                  sends="trees")
+            reduction._forked_map(in_children(fn, lambda: None), [0, 1],
+                                  worker="member-tree", sends="trees")
         assert_no_child()
 
-    def test_parent_failure_reaps_workers(self, monkeypatch):
+    def test_parent_failure_reaps_workers(self, monkeypatch, in_parent):
         coll = planar_collection(random_torus(4, 2))
-        parent, real = os.getpid(), cuttree.gomory_hu
-
-        def gomory_hu(*args, **kwargs):
-            if os.getpid() == parent:
-                raise GenusLimitError("raised in the parent")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cuttree, "gomory_hu", gomory_hu)
+        monkeypatch.setattr(cuttree, "gomory_hu",
+                            in_parent(cuttree.gomory_hu, fail_in_parent))
         monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
         with pytest.raises(GenusLimitError):
             member_trees(coll)
         assert_no_child()
 
-    def test_deal_balances_largest_first(self):
-        keys = [(1,) * n for n in (1, 5, 2, 4, 3)]
-        assert reduction._deal(keys, 2) == [[(1,) * 5, (1,) * 2, (1,) * 1],
-                                            [(1,) * 4, (1,) * 3]]
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedMap:
+    """The pool runs every item once, some of them in forked workers, and
+    returns the results in item order."""
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_items_run_once_in_order(self, monkeypatch, in_children, cpus):
+        items = list(range(300))        # more than one byte can index
+        ran_r, ran_w = os.pipe()
+
+        def fn(x):
+            os.write(ran_w, x.to_bytes(2, "big"))
+            return x, os.getpid()
+
+        monkeypatch.setattr(reduction, "available_cpus", lambda: cpus)
+        try:
+            out = reduction._forked_map(in_children(fn, lambda: None), items,
+                                        worker="member-tree", sends="trees")
+        finally:
+            os.close(ran_w)
+        with os.fdopen(ran_r, "rb") as fh:
+            ran = fh.read()
+        assert_no_child()
+        assert [x for x, _ in out] == items
+        assert sorted(int.from_bytes(ran[i:i + 2], "big")
+                      for i in range(0, len(ran), 2)) == items
+        assert any(pid != os.getpid() for _, pid in out)
+
+    def test_pipe_holds_every_member_slot(self, monkeypatch):
+        # every item index is written before the fork; past the pipe's
+        # buffer that write would block for good, so a minute is a failure
+        def timeout(*_):
+            raise TimeoutError("the item pipe's buffer is too small")
+
+        items = range(expected_size(reduction.GENUS_MAX))
+        monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            out = reduction._forked_map(abs, items, worker="member-tree",
+                                        sends="trees")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert out == list(items)
+        assert_no_child()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -627,7 +663,7 @@ class TestForkedCollection:
         monkeypatch.delattr(os, "fork")
         assert planar_collection(g) == want
 
-    def test_worker_error_keeps_its_type(self, monkeypatch):
+    def test_worker_error_keeps_its_type(self, monkeypatch, in_children):
         def cross():
             raise CrossingCutsError("raised in a collection worker")
 
@@ -644,7 +680,8 @@ class TestForkedCollection:
         (lambda: os.kill(os.getpid(), signal.SIGKILL),
          f"was killed by signal {int(signal.SIGKILL)}"),
     ], ids=["exit", "killed"])
-    def test_worker_death_raises(self, monkeypatch, action, status):
+    def test_worker_death_raises(self, monkeypatch, in_children, action,
+                                 status):
         monkeypatch.setattr(reduction, "tight_path",
                             in_children(reduction.tight_path, action))
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
@@ -654,15 +691,9 @@ class TestForkedCollection:
             planar_collection(random_torus(3, 1))
         assert_no_child()
 
-    def test_parent_failure_reaps_workers(self, monkeypatch):
-        parent, real = os.getpid(), reduction.tight_path
-
-        def tight_path(*args, **kwargs):
-            if os.getpid() == parent:
-                raise GenusLimitError("raised in the parent")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(reduction, "tight_path", tight_path)
+    def test_parent_failure_reaps_workers(self, monkeypatch, in_parent):
+        monkeypatch.setattr(reduction, "tight_path",
+                            in_parent(reduction.tight_path, fail_in_parent))
         monkeypatch.setattr(reduction, "available_cpus", lambda: 4)
         with pytest.raises(GenusLimitError):
             planar_collection(random_handle2(2))
