@@ -10,6 +10,7 @@ from this data.  Weights are exact integers throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,10 +76,6 @@ class EmbeddedGraph:
 
     def weight(self, e: int) -> int:
         return self.edges[e][2]
-
-    def endpoints(self, e: int):
-        u, v, _ = self.edges[e]
-        return u, v
 
     def dart_vertex(self, d: int) -> int:
         u, v, _ = self.edges[edge_of(d)]
@@ -147,7 +144,7 @@ class EmbeddedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Faces, dual, boundaries
+# Faces and dual
 
 
 def trace_faces(g: EmbeddedGraph):
@@ -195,20 +192,6 @@ def dual(g: EmbeddedGraph) -> EmbeddedGraph:
     return EmbeddedGraph(len(faces), tuple(edges), tuple(rotations))
 
 
-def boundary_of_faces(fs, g: EmbeddedGraph) -> frozenset:
-    """Edges with exactly one incident face in ``fs``."""
-    fs = frozenset(fs)
-    if not fs or fs >= set(range(g.face_count)):
-        raise ValueError("face set must be a nonempty proper subset")
-    out = []
-    for e in range(g.edge_count):
-        a = g.face_of(2 * e) in fs
-        b = g.face_of(2 * e + 1) in fs
-        if a != b:
-            out.append(e)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Curves: explicit cut descriptions
 
@@ -248,58 +231,20 @@ def _validate_walk(g, darts, closed):
             raise CurveShapeError("darts do not chain head-to-tail")
 
 
-def curves_from_edge_set(g: EmbeddedGraph, x) -> list:
-    """Decompose an even edge set into non-crossing closed walks.
-
-    At every vertex the darts of ``x`` are paired by stack-matching in
-    clockwise rotation order, which yields a non-crossing chord system; the
-    orbits of the induced successor map are the closed walks.
-    """
-    x = frozenset(x)
-    partner = {}
-    for v, rot in enumerate(g.rotations):
-        xd = [d for d in rot if edge_of(d) in x]
-        stack = []
-        for d in xd:
-            if stack:
-                a = stack.pop()
-                partner[a] = d
-                partner[d] = a
-            else:
-                stack.append(d)
-        if stack:
-            raise CurveShapeError(f"edge set is odd at vertex {v}")
-    walks = []
-    used = set()
-    for e in sorted(x):
-        for d0 in (2 * e, 2 * e + 1):
-            if d0 in used:
-                continue
-            walk = []
-            d = d0
-            while d not in used:
-                used.add(d)
-                used.add(twin(d))
-                walk.append(d)
-                d = partner[twin(d)]
-            walks.append(ClosedCurve(tuple(walk)))
-            break
-    return walks
-
-
 def uncross_walk(g: EmbeddedGraph, darts) -> ClosedCurve:
     """Re-pair self-crossings of a closed walk so its passages nest.
 
     At a vertex visited twice with interleaved (crossing) passage chords, the
     smoothing that keeps a single closed curve preserves the edge set and the
-    homology class.
+    homology class.  The first crossing in passage order is smoothed first.
     """
     darts = list(darts)
     for _ in range(len(darts) ** 2 + 1):
-        cross = _find_self_crossing(g, darts)
+        curve = ClosedCurve(tuple(darts))
+        cross = _first_crossing(g, _chords(g, [curve]))
         if cross is None:
-            return ClosedCurve(tuple(darts))
-        i, j = cross
+            return curve
+        _, i, j = cross
         # swap the two passages: one of the two re-pairings keeps one orbit;
         # reversing the segment between the passages realizes it.
         seg = darts[i:j]
@@ -307,57 +252,46 @@ def uncross_walk(g: EmbeddedGraph, darts) -> ClosedCurve:
     raise CurveShapeError("failed to uncross walk")
 
 
-def _passage_chords(g, darts, closed=True):
-    """Chords (rotation positions of in/out darts) per vertex, per passage."""
+def _chords(g, curves):
+    """The chords the curves draw at each vertex, in curve and passage order:
+    ``{v: [(a, b, i), ...]}``.  Passage ``i`` enters ``v`` by
+    ``twin(darts[i - 1])`` and leaves by ``darts[i]``, and its chord joins
+    those darts' rotation positions.  Each end of an open curve adds a chord
+    from its end dart into a corner of its end face (``i`` None).  Positions
+    are doubled and corner k, between darts k and k + 1, sits at 2k + 1, so
+    two chords cross exactly when their ends interleave."""
     chords = {}
-    n = len(darts)
-    rng = range(n) if closed else range(1, n)
-    for i in rng:
-        d_out = darts[i]
-        d_in = twin(darts[i - 1])
-        v = g.dart_vertex(d_out)
-        rot = g.rotations[v]
-        chords.setdefault(v, []).append((rot.index(d_in), rot.index(d_out), i))
+    for c in curves:
+        darts = c.darts
+        closed = isinstance(c, ClosedCurve)
+        for i in range(0 if closed else 1, len(darts)):
+            d_in, d_out = twin(darts[i - 1]), darts[i]
+            v = g.dart_vertex(d_out)
+            rot = g.rotations[v]
+            chords.setdefault(v, []).append(
+                (2 * rot.index(d_in), 2 * rot.index(d_out), i))
+        if not closed:
+            for v, a, b in (_end_chord(g, darts[0], c.start_face, start=True),
+                            _end_chord(g, darts[-1], c.end_face, start=False)):
+                chords.setdefault(v, []).append((a, b, None))
     return chords
 
 
-def _find_self_crossing(g, darts):
-    for v, ch in _passage_chords(g, darts).items():
-        m = len(g.rotations[v])
-        for (a1, b1, i), (a2, b2, j) in itertools.combinations(ch, 2):
-            if _chords_cross(a1, b1, a2, b2, m):
-                return tuple(sorted((i, j)))
+def _first_crossing(g, chords):
+    """``(v, i, j)`` for the first two crossing chords of ``_chords``:
+    vertices in order of their first chord, pairs in chord order.  None if
+    no two chords cross."""
+    for v, at in chords.items():
+        m = 2 * len(g.rotations[v])
+        for (a1, b1, i), (a2, b2, j) in itertools.combinations(at, 2):
+            span = (b1 - a1) % m
+            if ((a2 - a1) % m < span) != ((b2 - a1) % m < span):
+                return v, i, j
     return None
-
-
-def _chords_cross(a1, b1, a2, b2, m):
-    def between(x, lo, hi):
-        return (x - lo) % m < (hi - lo) % m
-
-    in1 = between(a2, a1, b1)
-    in2 = between(b2, a1, b1)
-    return in1 != in2
 
 
 # ---------------------------------------------------------------------------
 # Surgery
-
-
-def cut_along(g: EmbeddedGraph, x) -> EmbeddedGraph:
-    """Cut the surface along ``x``, duplicating its edges.
-
-    ``x`` must be (the edge set of) a single weakly simple cycle; its walk is
-    derived from the rotation system.  Use :func:`cut_along_curves` to cut
-    along explicit closed and open curves.
-    """
-    x = frozenset(x)
-    for e in x:
-        if e >= g.edge_count:
-            raise ValueError(f"edge {e} not in graph")
-    walks = curves_from_edge_set(g, x)
-    if len(walks) != 1:
-        raise CurveShapeError("edge set is not a single cycle")
-    return cut_along_curves(g, walks)
 
 
 def cut_along_curves(g: EmbeddedGraph, curves) -> EmbeddedGraph:
@@ -375,29 +309,16 @@ def check_curves(g: EmbeddedGraph, curves):
     if len(set(all_edges)) != len(all_edges):
         raise CurveShapeError("curves share edges")
     x = frozenset(all_edges)
-
-    # chord system per vertex: endpoints are dart positions or corners
-    chords = []          # list of (endpoint, endpoint); endpoint = ('d', v, pos) | ('c', v, corner)
-    for c in curves:
-        darts = list(c.darts)
-        closed = isinstance(c, ClosedCurve)
-        n = len(darts)
-        rng = range(n) if closed else range(1, n)
-        for i in rng:
-            d_out, d_in = darts[i], twin(darts[i - 1])
-            v = g.dart_vertex(d_out)
-            rot = g.rotations[v]
-            chords.append((("d", v, rot.index(d_in)), ("d", v, rot.index(d_out))))
-        if not closed:
-            chords.append(_end_chord(g, darts[0], c.start_face, start=True))
-            chords.append(_end_chord(g, darts[-1], c.end_face, start=False))
-
-    _check_noncrossing(g, chords)
+    chords = _chords(g, curves)
+    cross = _first_crossing(g, chords)
+    if cross is not None:
+        raise CurveShapeError(f"curves cross at vertex {cross[0]}")
     return x, chords
 
 
 def _end_chord(g, d, face, start):
-    """Chord from a path-end dart into a corner on the given face."""
+    """``(v, a, b)``: the chord at ``v`` from a path-end dart into a corner on
+    the given face, as doubled positions (see ``_chords``)."""
     if start:
         v, dd = g.dart_vertex(d), d
     else:
@@ -408,25 +329,8 @@ def _end_chord(g, d, face, start):
     for i in range(len(rot)):
         nxt = rot[(i + 1) % len(rot)]
         if g.face_of(nxt) == face:
-            return (("d", v, rot.index(dd)), ("c", v, i))
+            return v, 2 * rot.index(dd), 2 * i + 1
     raise CurveShapeError("path endpoint vertex not incident to end face")
-
-
-def _check_noncrossing(g, chords):
-    per_vertex = {}
-    for a, b in chords:
-        v = a[1]
-        per_vertex.setdefault(v, []).append((a, b))
-    for v, ch in per_vertex.items():
-        m = len(g.rotations[v])
-
-        def key(end):
-            # order endpoints around the vertex; corner i sits after dart i
-            return 2 * end[2] + (1 if end[0] == "c" else 0)
-
-        for (a1, b1), (a2, b2) in itertools.combinations(ch, 2):
-            if _chords_cross(key(a1), key(b1), key(a2), key(b2), 2 * m):
-                raise CurveShapeError(f"curves cross at vertex {v}")
 
 
 def _rebuild_cut(g, x, chords):
@@ -440,10 +344,6 @@ def _rebuild_cut(g, x, chords):
         nid += 1
 
     # items per vertex, with chord-jump successors
-    per_vertex_chords = {}
-    for a, b in chords:
-        per_vertex_chords.setdefault(a[1], []).append((a, b))
-
     def dart_items(v, pos, d):
         if edge_of(d) in x:
             return [("ccw", v, pos), ("cw", v, pos)]
@@ -465,22 +365,19 @@ def _rebuild_cut(g, x, chords):
     jump = {}
     vertex_items = []
     for v, rot in enumerate(g.rotations):
-        corner_cut = {}
-        for a, b in per_vertex_chords.get(v, []):
-            for end in (a, b):
-                if end[0] == "c":
-                    corner_cut[end[2]] = True
+        at = chords.get(v, ())
+        corner_cut = {k // 2 for a, b, _ in at for k in (a, b) if k % 2}
         items = []
         for pos, d in enumerate(rot):
             items.extend(dart_items(v, pos, d))
-            if corner_cut.get(pos):
+            if pos in corner_cut:
                 items.append(("cna", v, pos))
                 items.append(("cnb", v, pos))
         vertex_items.append(items)
         # jumps: ccw-side item of one endpoint -> cw-side item of the other
-        for a, b in per_vertex_chords.get(v, []):
-            ia_ccw, ia_cw = _end_items(a)
-            ib_ccw, ib_cw = _end_items(b)
+        for a, b, _ in at:
+            ia_ccw, ia_cw = _end_items(v, a)
+            ib_ccw, ib_cw = _end_items(v, b)
             jump[ia_ccw] = ib_cw
             jump[ib_ccw] = ia_cw
 
@@ -556,109 +453,12 @@ def _rebuild_cut(g, x, chords):
     return result
 
 
-def _end_items(end):
-    kind, v, pos = end
-    if kind == "d":
-        return ("ccw", v, pos), ("cw", v, pos)
-    return ("cna", v, pos), ("cnb", v, pos)
-
-
-# ---------------------------------------------------------------------------
-# Crossing test
-
-
-def crosses(h1, h2, g: EmbeddedGraph, subset_cap: int = 12) -> bool:
-    """Contraction-based crossing test between two edge sets.
-
-    Enumerates subsets of the shared edges (up to ``subset_cap``), contracts
-    each, and looks for a vertex with darts of the two sets interleaved
-    clockwise.
-    """
-    h1, h2 = frozenset(h1), frozenset(h2)
-    if h1 == h2:
-        return False
-    shared = sorted(h1 & h2)
-    if len(shared) > subset_cap:
-        subsets = [(), tuple(shared)]
-        comps = _edge_components(g, shared)
-        subsets.extend(tuple(sorted(c)) for c in comps)
-    else:
-        subsets = list(itertools.chain.from_iterable(
-            itertools.combinations(shared, k) for k in range(len(shared) + 1)))
-    for s in subsets:
-        rotations = _contract_rotations(g, frozenset(s))
-        if _has_interleaving(rotations, h1 - set(s), h2 - set(s)):
-            return True
-    return False
-
-
-def _edge_components(g, edges):
-    parent = {}
-
-    def find(a):
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    for e in edges:
-        u, v, _ = g.edges[e]
-        ru, rv = find(("v", u)), find(("v", v))
-        parent[ru] = rv
-    comps = {}
-    for e in edges:
-        u, _, _ = g.edges[e]
-        comps.setdefault(find(("v", u)), []).append(e)
-    return comps.values()
-
-
-def _contract_rotations(g, s):
-    """Rotations after contracting edge set ``s`` (loops are left in place)."""
-    rotations = {v: list(rot) for v, rot in enumerate(g.rotations)}
-    where = {}
-    for v, rot in rotations.items():
-        for d in rot:
-            where[d] = v
-    for e in sorted(s):
-        d0, d1 = 2 * e, 2 * e + 1
-        u, v = where[d0], where[d1]
-        if u == v:
-            rotations[u] = [d for d in rotations[u] if d not in (d0, d1)]
-            continue
-        ru, rv = rotations[u], rotations[v]
-        i = ru.index(d0)
-        j = rv.index(d1)
-        spliced = ru[:i] + rv[j + 1:] + rv[:j] + ru[i + 1:]
-        rotations[u] = spliced
-        rotations[v] = []
-        for d in spliced:
-            where[d] = u
-    return [rot for rot in rotations.values() if rot]
-
-
-def _has_interleaving(rotations, h1, h2):
-    for rot in rotations:
-        labels = []
-        for d in rot:
-            e = edge_of(d)
-            a, b = e in h1, e in h2
-            if a or b:
-                labels.append((a, b))
-        if _interleaved(labels):
-            return True
-    return False
-
-
-def _interleaved(labels):
-    n = len(labels)
-    if n < 4:
-        return False
-    for p, q, r, s in itertools.combinations(range(n), 4):
-        a, b = labels[p], labels[q]
-        c, d = labels[r], labels[s]
-        if (a[0] and c[0] and b[1] and d[1]) or (a[1] and c[1] and b[0] and d[0]):
-            return True
-    return False
+def _end_items(v, k):
+    """The items either side of chord end ``k`` at ``v``: a dart's ccw and cw
+    halves, or a corner's two sides."""
+    if k % 2:
+        return ("cna", v, k // 2), ("cnb", v, k // 2)
+    return ("ccw", v, k // 2), ("cw", v, k // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -686,27 +486,27 @@ def parse_graph(text: str) -> EmbeddedGraph:
             if parts[0] != "R":
                 raise GraphFormatError("expected rotation line")
             v = int(parts[1])
+            if not 0 <= v < n:
+                raise GraphFormatError(
+                    f"rotation line for vertex {v} outside 0..{n - 1}")
+            if rotations[v] is not None:
+                raise GraphFormatError(
+                    f"repeated rotation line for vertex {v}")
             rotations[v] = tuple(int(d) for d in parts[2:])
-    except (StopIteration, IndexError, ValueError, ZeroDivisionError) as exc:
+    except StopIteration:
+        raise GraphFormatError("bad graph file: missing lines") from None
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad graph file: {exc}") from exc
-    scale = 1
-    for _, _, _, w in raw_edges:
-        if w.denominator != 1:
-            scale = scale * w.denominator // _gcd(scale, w.denominator)
+    extra = next(it, None)
+    if extra is not None:
+        raise GraphFormatError(f"line after the rotation lines: {extra!r}")
+    scale = math.lcm(*(w.denominator for *_, w in raw_edges))
     edges = [None] * m
     for eid, u, v, w in raw_edges:
         if not 0 <= eid < m or edges[eid] is not None:
             raise GraphFormatError(f"bad edge id {eid}")
         edges[eid] = (u, v, int(w * scale))
-    if any(r is None for r in rotations):
-        raise GraphFormatError("missing rotation line")
     return EmbeddedGraph(n, tuple(edges), tuple(rotations))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def format_graph(g: EmbeddedGraph) -> str:

@@ -15,7 +15,6 @@ import heapq
 from dataclasses import dataclass, field
 
 from .embed import EmbeddedGraph, dual, uncross_walk
-from .errors import NoPathError
 
 INF = float("inf")
 
@@ -33,17 +32,6 @@ class HomologyBasis:
     @property
     def genus(self) -> int:
         return len(self.leftover) // 2
-
-    def signature(self, x) -> int:
-        s = 0
-        for e in x:
-            s ^= self.edge_signature[e]
-        return s
-
-    def dual_path(self, a: int, b: int) -> frozenset:
-        """Fixed a-to-b path between faces, through the dual spanning tree."""
-        parent = _tree_parents(_adjacency(dual(self.graph), self.cotree_edges), a)
-        return frozenset(_tree_path(parent, a, b))
 
 
 def _adjacency(g, allowed):
@@ -102,17 +90,6 @@ def homology_basis(g: EmbeddedGraph) -> HomologyBasis:
             sig[e] |= 1 << i
     return HomologyBasis(g, tree, cotree, leftover,
                          tuple(primal_cycles), tuple(dual_cycles), tuple(sig))
-
-
-def subgraph_signature(x, basis: HomologyBasis, ab=None):
-    """Signature of an edge set; with ``ab = (face_a, face_b)`` also returns
-    the extended path-crossing bit."""
-    bits = basis.signature(x)
-    if ab is None:
-        return bits
-    a, b = ab
-    path = basis.dual_path(a, b)
-    return bits, len(frozenset(x) & path) % 2
 
 
 def _cover_moves(g: EmbeddedGraph, signatures, classes: int):
@@ -190,14 +167,6 @@ def _repeats_edge(darts) -> bool:
     return len({d >> 1 for d in darts}) != len(darts)
 
 
-def tight_cycle(g: EmbeddedGraph, basis: HomologyBasis, h: int) -> frozenset:
-    """Edge set of the tight cycle of class ``h``; see tight_cycle_walk."""
-    walks, missing = tight_cycle_walk(g, basis)
-    if h in missing:
-        raise NoPathError(missing[h])
-    return walks[h].edge_set()
-
-
 def _from_lowest_edge(darts):
     """The closed walk ``darts`` rotated, and reversed if needed, to start
     with dart 2e of its lowest edge e."""
@@ -224,7 +193,7 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
     edge, and a later start only wins with a strictly lighter walk.  A
     self-loop e0 is its own walk in its own class.  Each winning walk is
     rotated to start at dart 2e of its lowest edge e, reversed if needed,
-    and uncrossed so cut_along can consume it.
+    and uncrossed so cut_along_curves can consume it.
 
     Class 0 is not searched: a null-homologous simple cycle separates the
     surface, so no cut is made along it.
@@ -269,32 +238,6 @@ def tight_cycle_walk(g: EmbeddedGraph, basis: HomologyBasis):
             walks[h] = uncross_walk(g, _from_lowest_edge(best[h][1]))
     missing[0] = "null-homologous, separates the surface"
     return walks, missing
-
-
-def min_even_subgraph_oracle(g: EmbeddedGraph, basis: HomologyBasis, h: int):
-    """Exhaustive reference: best even subset with signature h (small graphs)."""
-    m = g.edge_count
-    if m > 20:
-        raise ValueError("oracle limited to small graphs")
-    best = None
-    for mask in range(1 << m):
-        x = [e for e in range(m) if mask >> e & 1]
-        deg = [0] * g.vertex_count
-        ok = True
-        for e in x:
-            u, v, _ = g.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        if any(dg % 2 for dg in deg):
-            continue
-        if basis.signature(x) != h:
-            continue
-        w = sum(g.weight(e) for e in x)
-        if best is None or w < best[1]:
-            best = (frozenset(x), w)
-    if best is None:
-        raise NoPathError(f"no even subgraph with signature {h}")
-    return best
 
 
 def boundary_vertices(g: EmbeddedGraph, face: int):

@@ -1,13 +1,32 @@
-"""Ground-truth engines: brute-force cuts and exhaustive separating subgraphs."""
+"""Reference implementations: brute-force cuts, exhaustive separating
+subgraphs, and the surface and homology tools that only tests use.
+
+The build path never calls into this module; tests check the build against
+it.
+"""
 
 from __future__ import annotations
 
 import itertools
 
-from .embed import EmbeddedGraph, dual
 from .cuttree import max_flow_min_cut
-from .errors import NoPathError
-from .homology import homology_basis, subgraph_signature
+from .embed import (
+    ClosedCurve,
+    EmbeddedGraph,
+    cut_along_curves,
+    dual,
+    edge_of,
+    twin,
+)
+from .errors import CurveShapeError, NoPathError
+from .homology import (
+    HomologyBasis,
+    _adjacency,
+    _tree_parents,
+    _tree_path,
+    homology_basis,
+)
+from .reduction import AnnotatedPlanar, Collection
 
 
 def all_pairs_min_cut(n, edges, limit=64):
@@ -31,6 +50,89 @@ def brute_force_min_cut(n, edges, s, t):
             w = sum(wt for u, v, wt in edges if (u in side) != (v in side))
             if best is None or w < best[0]:
                 best = (w, frozenset(side))
+    return best
+
+
+def collection_min_cut(collection: Collection, trees, a: int, b: int):
+    """Minimum separating-subgraph weight between two original faces.
+
+    Returns ``(weight, member index)``; ties go to the lowest member index.
+    """
+    if a == b:
+        raise ValueError("the two faces must differ")
+    faces = range(collection.face_count)
+    if a not in faces or b not in faces:
+        raise KeyError(f"face {a if a not in faces else b} is not an "
+                       f"ordinary face of the original graph")
+    best = None
+    for i, t in enumerate(trees):
+        w = t.path_min(a, b)
+        if best is None or w < best[0]:
+            best = (w, i)
+    if best is None:
+        raise ValueError("empty collection")
+    return best
+
+
+def lifted_witness(member: AnnotatedPlanar, a: int, b: int):
+    """The member's minimum separating subgraph for original faces (a, b),
+    lifted back to an edge set of the original graph (member cut edges plus
+    all annotation cycles).
+
+    The face side is the residual source side of one max-flow on the
+    member's dual, which is the unique minimum cut under the perturbation.
+    """
+    n = 1 + max(max(x, y) for x, y, _, _ in member.dual)
+    _, side = max_flow_min_cut(
+        n, [(x, y, w) for x, y, w, _ in member.dual], a, b)
+    lifted = {e for x, y, _, e in member.dual if (x in side) != (y in side)}
+    for cyc in member.annotation:
+        lifted |= cyc
+    return frozenset(lifted)
+
+
+def dual_path(basis: HomologyBasis, a: int, b: int) -> frozenset:
+    """Fixed a-to-b path between faces, through the basis's dual spanning
+    tree."""
+    parent = _tree_parents(
+        _adjacency(dual(basis.graph), basis.cotree_edges), a)
+    return frozenset(_tree_path(parent, a, b))
+
+
+def subgraph_signature(x, basis: HomologyBasis, ab=None):
+    """Signature of an edge set, the XOR of its edges' signatures; with
+    ``ab = (face_a, face_b)`` also returns the extended path-crossing bit."""
+    bits = 0
+    for e in x:
+        bits ^= basis.edge_signature[e]
+    if ab is None:
+        return bits
+    a, b = ab
+    return bits, len(frozenset(x) & dual_path(basis, a, b)) % 2
+
+
+def min_even_subgraph_oracle(g: EmbeddedGraph, basis: HomologyBasis, h: int):
+    """Exhaustive reference: best even subset with signature h (small graphs)."""
+    m = g.edge_count
+    if m > 20:
+        raise ValueError("oracle limited to small graphs")
+    best = None
+    for mask in range(1 << m):
+        x = [e for e in range(m) if mask >> e & 1]
+        deg = [0] * g.vertex_count
+        for e in x:
+            u, v, _ = g.edges[e]
+            deg[u] += 1
+            deg[v] += 1
+        if any(dg % 2 for dg in deg):
+            continue
+        if subgraph_signature(x, basis) != h:
+            continue
+        w = sum(g.weight(e) for e in x)
+        if best is None or w < best[1]:
+            best = (frozenset(x), w)
+    if best is None:
+        raise NoPathError(f"no even subgraph with signature {h}")
     return best
 
 
@@ -145,3 +247,167 @@ def separates_faces(x, g: EmbeddedGraph, a: int, b: int) -> bool:
                 seen.add(v)
                 stack.append(v)
     return b not in seen
+
+
+def boundary_of_faces(fs, g: EmbeddedGraph) -> frozenset:
+    """Edges with exactly one incident face in ``fs``."""
+    fs = frozenset(fs)
+    if not fs or fs >= set(range(g.face_count)):
+        raise ValueError("face set must be a nonempty proper subset")
+    out = []
+    for e in range(g.edge_count):
+        a = g.face_of(2 * e) in fs
+        b = g.face_of(2 * e + 1) in fs
+        if a != b:
+            out.append(e)
+    return frozenset(out)
+
+
+def curves_from_edge_set(g: EmbeddedGraph, x) -> list:
+    """Decompose an even edge set into non-crossing closed walks.
+
+    At every vertex the darts of ``x`` are paired by stack-matching in
+    clockwise rotation order, which yields a non-crossing chord system; the
+    orbits of the induced successor map are the closed walks.
+    """
+    x = frozenset(x)
+    partner = {}
+    for v, rot in enumerate(g.rotations):
+        xd = [d for d in rot if edge_of(d) in x]
+        stack = []
+        for d in xd:
+            if stack:
+                a = stack.pop()
+                partner[a] = d
+                partner[d] = a
+            else:
+                stack.append(d)
+        if stack:
+            raise CurveShapeError(f"edge set is odd at vertex {v}")
+    walks = []
+    used = set()
+    for e in sorted(x):
+        for d0 in (2 * e, 2 * e + 1):
+            if d0 in used:
+                continue
+            walk = []
+            d = d0
+            while d not in used:
+                used.add(d)
+                used.add(twin(d))
+                walk.append(d)
+                d = partner[twin(d)]
+            walks.append(ClosedCurve(tuple(walk)))
+            break
+    return walks
+
+
+def cut_along(g: EmbeddedGraph, x) -> EmbeddedGraph:
+    """Cut the surface along ``x``, duplicating its edges.
+
+    ``x`` must be (the edge set of) a single weakly simple cycle; its walk is
+    derived from the rotation system.  Use :func:`cut_along_curves` to cut
+    along explicit closed and open curves.
+    """
+    x = frozenset(x)
+    for e in x:
+        if e >= g.edge_count:
+            raise ValueError(f"edge {e} not in graph")
+    walks = curves_from_edge_set(g, x)
+    if len(walks) != 1:
+        raise CurveShapeError("edge set is not a single cycle")
+    return cut_along_curves(g, walks)
+
+
+def crosses(h1, h2, g: EmbeddedGraph, subset_cap: int = 12) -> bool:
+    """Contraction-based crossing test between two edge sets.
+
+    Enumerates subsets of the shared edges (up to ``subset_cap``), contracts
+    each, and looks for a vertex with darts of the two sets interleaved
+    clockwise.
+    """
+    h1, h2 = frozenset(h1), frozenset(h2)
+    if h1 == h2:
+        return False
+    shared = sorted(h1 & h2)
+    if len(shared) > subset_cap:
+        subsets = [(), tuple(shared)]
+        comps = _edge_components(g, shared)
+        subsets.extend(tuple(sorted(c)) for c in comps)
+    else:
+        subsets = list(itertools.chain.from_iterable(
+            itertools.combinations(shared, k) for k in range(len(shared) + 1)))
+    for s in subsets:
+        rotations = _contract_rotations(g, frozenset(s))
+        if _has_interleaving(rotations, h1 - set(s), h2 - set(s)):
+            return True
+    return False
+
+
+def _edge_components(g, edges):
+    parent = {}
+
+    def find(a):
+        while parent.get(a, a) != a:
+            parent[a] = parent.get(parent[a], parent[a])
+            a = parent[a]
+        return a
+
+    for e in edges:
+        u, v, _ = g.edges[e]
+        ru, rv = find(("v", u)), find(("v", v))
+        parent[ru] = rv
+    comps = {}
+    for e in edges:
+        u, _, _ = g.edges[e]
+        comps.setdefault(find(("v", u)), []).append(e)
+    return comps.values()
+
+
+def _contract_rotations(g, s):
+    """Rotations after contracting edge set ``s`` (loops are left in place)."""
+    rotations = {v: list(rot) for v, rot in enumerate(g.rotations)}
+    where = {}
+    for v, rot in rotations.items():
+        for d in rot:
+            where[d] = v
+    for e in sorted(s):
+        d0, d1 = 2 * e, 2 * e + 1
+        u, v = where[d0], where[d1]
+        if u == v:
+            rotations[u] = [d for d in rotations[u] if d not in (d0, d1)]
+            continue
+        ru, rv = rotations[u], rotations[v]
+        i = ru.index(d0)
+        j = rv.index(d1)
+        spliced = ru[:i] + rv[j + 1:] + rv[:j] + ru[i + 1:]
+        rotations[u] = spliced
+        rotations[v] = []
+        for d in spliced:
+            where[d] = u
+    return [rot for rot in rotations.values() if rot]
+
+
+def _has_interleaving(rotations, h1, h2):
+    for rot in rotations:
+        labels = []
+        for d in rot:
+            e = edge_of(d)
+            a, b = e in h1, e in h2
+            if a or b:
+                labels.append((a, b))
+        if _interleaved(labels):
+            return True
+    return False
+
+
+def _interleaved(labels):
+    n = len(labels)
+    if n < 4:
+        return False
+    for p, q, r, s in itertools.combinations(range(n), 4):
+        a, b = labels[p], labels[q]
+        c, d = labels[r], labels[s]
+        if (a[0] and c[0] and b[1] and d[1]) or (a[1] and c[1] and b[0] and d[0]):
+            return True
+    return False

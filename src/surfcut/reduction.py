@@ -20,7 +20,6 @@ import signal
 from dataclasses import dataclass, field
 
 from . import cuttree
-from .cuttree import max_flow_min_cut
 from .embed import (
     EmbeddedGraph,
     OpenCurve,
@@ -89,15 +88,6 @@ def expected_size(genus: int) -> int:
     for g in range(1, genus + 1):
         n *= (1 << (2 * g)) + (1 << (4 * g))
     return n
-
-
-def tight_cycles_all(g: EmbeddedGraph):
-    """One tight cycle per nonzero homology class, as edge sets (empty for
-    genus 0)."""
-    if g.genus == 0:
-        return []
-    walks, _ = tight_cycle_walk(g, homology_basis(g))
-    return [walks[h].edge_set() for h in sorted(walks)]
 
 
 def _inherited_signatures(child, basis):
@@ -425,40 +415,3 @@ def member_trees(collection: Collection):
                      if offset else t)
     return trees
 
-
-def collection_min_cut(collection: Collection, trees, a: int, b: int):
-    """Minimum separating-subgraph weight between two original faces.
-
-    Returns ``(weight, member index)``; ties go to the lowest member index.
-    """
-    if a == b:
-        raise ValueError("the two faces must differ")
-    faces = range(collection.face_count)
-    if a not in faces or b not in faces:
-        raise KeyError(f"face {a if a not in faces else b} is not an "
-                       f"ordinary face of the original graph")
-    best = None
-    for i, t in enumerate(trees):
-        w = t.path_min(a, b)
-        if best is None or w < best[0]:
-            best = (w, i)
-    if best is None:
-        raise ValueError("empty collection")
-    return best
-
-
-def lifted_witness(member: AnnotatedPlanar, a: int, b: int):
-    """The member's minimum separating subgraph for original faces (a, b),
-    lifted back to an edge set of the original graph (member cut edges plus
-    all annotation cycles).
-
-    The face side is the residual source side of one max-flow on the
-    member's dual, which is the unique minimum cut under the perturbation.
-    """
-    n = 1 + max(max(x, y) for x, y, _, _ in member.dual)
-    _, side = max_flow_min_cut(
-        n, [(x, y, w) for x, y, w, _ in member.dual], a, b)
-    lifted = {e for x, y, _, e in member.dual if (x in side) != (y in side)}
-    for cyc in member.annotation:
-        lifted |= cyc
-    return frozenset(lifted)

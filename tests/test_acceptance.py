@@ -10,29 +10,22 @@ import pytest
 
 from surfcut import cli, gen, weights
 from surfcut.cuttree import CutTree, gomory_hu, max_flow_min_cut
-from surfcut.homology import (
-    homology_basis,
-    min_even_subgraph_oracle,
-    tight_cycle,
-)
+from surfcut.homology import homology_basis, tight_cycle_walk
 from surfcut.hpath import SplitStats, build_hpath, find_split_point
 from surfcut.merge import merged_collection_tree
 from surfcut.oracle import (
+    collection_min_cut,
     even_subgraphs,
     is_simple_cycle,
+    lifted_witness,
+    min_even_subgraph_oracle,
     min_face_cut,
     min_separating_subgraph_exhaustive,
     separates_faces,
+    subgraph_signature,
 )
 from surfcut.query import build_index, min_cut_query
-from surfcut.reduction import (
-    collection_min_cut,
-    expected_size,
-    lifted_witness,
-    member_trees,
-    planar_collection,
-    tight_cycles_all,
-)
+from surfcut.reduction import expected_size, member_trees, planar_collection
 
 TORUS_SIZES = [3] * 8 + [4] * 6 + [5] * 6       # 20 instances
 
@@ -131,16 +124,17 @@ def test_criterion_4_tight_cycle_table():
     # exhaustive cycle-space search
     basis3 = homology_basis(g)
     null = min(len(x) for x in even_subgraphs(g)
-               if x and basis3.signature(x) == 0)
-    table = [null] + [sum(1 for _ in c) for c in tight_cycles_all(g)]
+               if x and subgraph_signature(x, basis3) == 0)
+    walks, _ = tight_cycle_walk(g, basis3)
+    table = [null] + [len(walks[h].edge_set()) for h in sorted(walks)]
     ok = table[0] == 4 and sorted(table[1:3]) == [3, 3] and table[3] == 6
     # independent confirmation on the 2x2 analog: per nonzero class the
     # cover-search cycle weight equals the exhaustive even-subgraph optimum
     g2 = gen.torus_grid(2)
     basis = homology_basis(g2)
+    walks2, _ = tight_cycle_walk(g2, basis)
     for h in (1, 2, 3):
-        cyc = tight_cycle(g2, basis, h)
-        got = sum(g2.weight(e) for e in cyc)
+        got = sum(g2.weight(e) for e in walks2[h].edge_set())
         want = min_even_subgraph_oracle(g2, basis, h)[1]
         ok = ok and got == want
     report(4, "tight cycle class table", ok, f"classes {table}")

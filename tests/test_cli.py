@@ -57,6 +57,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         "V 0\nE 0\n",                              # no vertex
         "V 2\nE 1\n0 0 1 1/0\nR 0 0\nR 1 1\n",     # zero denominator
+        "V 2\nE 1\n0 0 1 1\nR 0 0\nR -1 1\n",      # vertex id out of range
+        "V 2\nE 1\n0 0 1 1\nR 0 0\nR 0 0\n",       # repeated vertex id
+        "V 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\nR 1 1\n",  # trailing line
     ])
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_degenerate_graph(self, tmp_path, capsys, text, command):

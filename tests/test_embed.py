@@ -1,19 +1,26 @@
+import random
+
 import pytest
 
 from surfcut import gen
 from surfcut.embed import (
+    ClosedCurve,
     EmbeddedGraph,
     OpenCurve,
-    boundary_of_faces,
-    crosses,
-    curves_from_edge_set,
-    cut_along,
+    check_curves,
     cut_along_curves,
     dual,
     format_graph,
     parse_graph,
+    uncross_walk,
 )
 from surfcut.errors import CurveShapeError, GraphFormatError, SeparatingCutError
+from surfcut.oracle import (
+    boundary_of_faces,
+    crosses,
+    curves_from_edge_set,
+    cut_along,
+)
 
 ROW0 = frozenset({0, 1, 2})        # wraparound row cycle in the 3x3 torus grid
 COL0 = frozenset({9, 12, 15})      # wraparound column cycle through vertex 0
@@ -262,10 +269,53 @@ R 2 3 4
         "V x\nE 0\n",
         "V 0\nE 0\n",          # no vertex
         "V 2\nE 1\n0 0 1 1/0\nR 0 0\nR 1 1\n",   # zero denominator
+        "V 2\nE 1\n0 0 1 1\nR 0 0\nR -1 1\n",    # vertex id out of range
+        "V 2\nE 1\n0 0 1 1\nR 0 0\nR 0 0\n",     # repeated vertex id
+        "V 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\nR 1 1\n",  # trailing line
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(GraphFormatError):
             parse_graph(bad)
+
+    @pytest.mark.parametrize("rotations, message", [
+        ("R 0 0\nR -1 1\n", "rotation line for vertex -1 outside 0..1"),
+        ("R 0 0\nR 2 1\n", "rotation line for vertex 2 outside 0..1"),
+        ("R 0 0\nR 0 0\n", "repeated rotation line for vertex 0"),
+        ("R 0 0\nR 1 1\n# end\n0 0 1 1\n",
+         "line after the rotation lines: '0 0 1 1'"),
+    ])
+    def test_rotation_line_errors_name_the_fault(self, rotations, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            parse_graph("V 2\nE 1\n0 0 1 1\n" + rotations)
+
+
+def handle_with_small_weights():
+    rng = random.Random(17)
+    g = gen.torus_grid(3, weights=[rng.randint(1, 3) for _ in range(18)])
+    return gen.add_edge_between_faces(g, 0, 4, rng.randint(1, 3))
+
+
+class TestChords:
+    """uncross_walk and check_curves read one chord system of a walk."""
+
+    def test_uncross_smooths_the_first_crossing(self):
+        g = handle_with_small_weights()
+        assert uncross_walk(g, (2, 35, 29, 23, 37)) == \
+            ClosedCurve((2, 22, 28, 34, 37))
+
+    def test_check_curves_finds_the_self_crossing(self):
+        g = handle_with_small_weights()
+        with pytest.raises(CurveShapeError,
+                           match="^curves cross at vertex 2$"):
+            check_curves(g, [ClosedCurve((2, 35, 29, 23, 37))])
+
+    def test_row_and_column_cross(self):
+        g = gen.torus_grid(3)
+        row, column = ClosedCurve((0, 2, 4)), ClosedCurve((18, 24, 30))
+        assert row.edge_set() == ROW0 and column.edge_set() == COL0
+        with pytest.raises(CurveShapeError,
+                           match="^curves cross at vertex 0$"):
+            check_curves(g, [row, column])
 
 
 class TestCurveShapeErrors:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from surfcut import cuttree, gen, reduction, weights
 from surfcut.embed import (
     EmbeddedGraph,
-    crosses,
     cut_along_curves,
     edge_of,
     side_of,
@@ -20,6 +19,9 @@ from surfcut.embed import (
 from surfcut.errors import CrossingCutsError, GenusLimitError, WorkerError
 from surfcut.homology import homology_basis, tight_cycle_walk
 from surfcut.oracle import (
+    collection_min_cut,
+    crosses,
+    lifted_witness,
     min_face_cut,
     min_separating_subgraph_exhaustive,
     separates_faces,
@@ -28,13 +30,10 @@ from surfcut.merge import merged_collection_tree, project_member_tree
 from surfcut.reduction import (
     Collection,
     answer_bound,
-    collection_min_cut,
     expected_size,
-    lifted_witness,
     member_key,
     member_trees,
     planar_collection,
-    tight_cycles_all,
 )
 
 
@@ -45,12 +44,16 @@ def build(g):
 
 class TestTightCyclesAll:
     def test_planar_empty(self):
-        assert tight_cycles_all(gen.planar_triangulation(5, seed=0)) == []
+        g = gen.planar_triangulation(5, seed=0)
+        walks, missing = tight_cycle_walk(g, homology_basis(g))
+        assert walks == {}
+        assert list(missing) == [0]
 
     def test_torus_has_three_nonzero_classes(self):
-        cycles = tight_cycles_all(gen.torus_grid(3))
-        assert len(cycles) == 3
-        ws = sorted(sum(1 for _ in c) for c in cycles)
+        g = gen.torus_grid(3)
+        walks, _ = tight_cycle_walk(g, homology_basis(g))
+        assert sorted(walks) == [1, 2, 3]
+        ws = sorted(len(c.edge_set()) for c in walks.values())
         assert ws == [3, 3, 6]
 
 
