@@ -7,8 +7,11 @@ reachable from the source in the residual network).
 The network lives in four arc arrays: arc ``2i`` runs along edge i and arc
 ``2i + 1`` back, ``to[a]`` is an arc's head (so ``to[a ^ 1]`` is its tail),
 ``cap[a]`` its residual capacity, and ``first[u]``/``nxt[a]`` thread the arcs
-leaving each vertex into a list ended by -1.  ``max_flow`` builds them from an
-edge list; ``cuttree.gomory_hu`` writes them directly.  Both run ``search``.
+leaving each vertex into a list ended by -1.  ``arcs`` writes them from an edge
+list.  ``max_flow`` runs ``search`` on them once; ``cuttree.gomory_hu`` keeps
+one set per unfinished Gomory-Hu group and runs ``search`` (through
+``cuttree.max_flow_on_arcs``) on a copy of its capacities, so that they stay
+the group's own.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ def max_flow(n, edges, s, t):
     """
     if s == t:
         raise ValueError("source equals sink")
+    total, level = search(n, *arcs(n, edges), s, t)
+    return total, frozenset(v for v in range(n) if level[v] >= 0)
+
+
+def arcs(n, edges):
+    """The arc arrays ``(first, to, cap, nxt)`` of ``(u, v, capacity)``
+    edges over vertices ``0..n-1``."""
     to = [x for u, v, _ in edges for x in (v, u)]
     cap = [c for _, _, c in edges for _ in (0, 1)]
     first = [-1] * n
@@ -30,8 +40,7 @@ def max_flow(n, edges, s, t):
         u = to[a ^ 1]
         nxt[a] = first[u]
         first[u] = a
-    total, level = search(n, first, to, cap, nxt, s, t)
-    return total, frozenset(v for v in range(n) if level[v] >= 0)
+    return first, to, cap, nxt
 
 
 def search(n, first, to, cap, nxt, s, t):

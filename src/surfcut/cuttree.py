@@ -184,98 +184,129 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     contraction scheme of Gomory and Hu ("Multi-terminal network flows",
     1961).
 
-    The vertices are kept in groups joined by a tree.  Each step takes the
-    lowest-index group holding two or more terminals, contracts every subtree
-    hanging off it to one vertex, and splits it by a minimum cut between its
-    two smallest terminals.  So exactly |T|-1 max-flow calls are made, the
-    cuts are nested by construction, and each finished group is labelled by
-    its one terminal; the other vertices only carry flow.
+    The vertices are kept in groups joined by a tree, and the groups holding
+    two or more terminals wait in a queue.  Each step splits the first one
+    by a minimum cut between its two smallest terminals, in the network
+    where every subtree hanging off the group is contracted to one vertex.
+    The part holding the smaller terminal keeps the group's place in the
+    queue and the other part joins at the end.  So exactly |T|-1 max-flow
+    calls are made, the cuts are nested by construction, and each finished
+    group is labelled by its one terminal; the other vertices only carry
+    flow.
 
-    Each step maps every vertex to its contracted id and writes the
-    contracted network in one pass over the input edges straight into the
-    kernel's arc arrays (``max_flow_on_arcs``), dropping the edges that
-    contract to self-loops.  Parallel contracted edges stay separate arcs
-    rather than being summed: that changes neither the flow value nor the
-    side.  The side is the set of vertices residual-reachable from the
-    source, which is the source side of the least minimum cut, so it is the
-    same for every maximum flow and depends only on the total capacity
-    between each pair of vertices.
+    Each unfinished group keeps that contracted network itself, in the
+    kernel's arc arrays (``max_flow_on_arcs``) over positions: one per
+    member, and one super-vertex per tree edge leaving the group, standing
+    for the subtree across that edge.  When the cut takes one terminal off
+    alone, as most cuts do, that terminal's position becomes the new tree
+    edge's super-vertex and the rest keeps the network as it is.  Any other
+    cut partitions the network in one pass over it: each side keeps the
+    edges with both ends on it and sees the other side as one new
+    super-vertex, keyed by the new tree edge, that takes the cut edges
+    summed per endpoint.  The super-vertices on the new group's side take
+    their tree edges along, re-pointed to it; the networks across those
+    edges stand for the same vertices as before and do not change.  A group
+    left with one terminal keeps no network.  So a step costs time in its
+    own network only: the input edges are read once, before the first step,
+    and no step visits another group's network.
+
+    The total capacity between every two positions is that of the
+    contraction of the input, so the cut is too: the side is the set of
+    positions residual-reachable from the source, which is the source side
+    of the least minimum cut, the same for every maximum flow and every way
+    of writing the network.  Hence the groups, and the tree, are those of
+    rebuilding the contraction from the input at every step, ties included.
 
     Each max-flow runs from the split pair's lighter terminal, by weighted
     degree (the first one on a tie), and the group's side is the complement
-    when it ran from the second.  A group's vertices keep their own ids in
-    the contraction, so their contracted degrees are their degrees in the
-    input.  Most splits cut off one light face, so the flow's last level
-    search labels only that small side.  Where every minimum cut is unique,
-    as under the weight perturbation, the tree does not depend on the
-    direction; with tied cuts it may hold other (equally minimum) sides.
+    when it ran from the second.  Members are never contracted, so their
+    degrees in a group's network are their degrees in the input.  Most
+    splits cut off one light face, so the flow's last level search labels
+    only that small side.  Where every minimum cut is unique, as under the
+    weight perturbation, the tree does not depend on the direction; with
+    tied cuts it may hold other (equally minimum) sides.
     """
     degree = [0] * n
+    net = []
     for u, v, w in edges:
         if u != v:
             degree[u] += w
             degree[v] += w
+            net.append((u, v, w))
     terms = [sorted(set(range(n) if terminals is None else terminals))]
-    members = [list(range(n))]
-    owner = [0] * n                 # vertex -> group
-    tree = [{}]                     # group -> {neighbouring group: weight}
-    gi = 0
+    # group -> None once it holds one terminal, else its network: the tree
+    # edge at every position (-1 at a member) and the arc arrays
+    nets = [([-1] * n, *_dinic_py.arcs(n, net)) if len(terms[0]) > 1
+            else None]
+    order = [0]                 # the queue, finished groups left in place
+    where = list(range(n))      # terminal -> its position in its group
+    tree = []                   # tree edge -> (group, group, weight)
+    i = 0
     while True:
-        # groups below gi are final: only gi splits, and new groups go last
-        while gi < len(terms) and len(terms[gi]) < 2:
-            gi += 1
-        if gi == len(terms):
+        # order[:i] is final: only order[i] splits, and new groups go last
+        while i < len(order) and nets[order[i]] is None:
+            i += 1
+        if i == len(order):
             break
-        group = members[gi]
-        comp = [None] * len(members)    # group -> contracted id of its subtree
-        nc = len(group)
-        for nb in tree[gi]:
-            comp[nb] = nc
-            stack = [nb]
-            while stack:
-                for y in tree[stack.pop()]:
-                    if y != gi and comp[y] is None:
-                        comp[y] = nc
-                        stack.append(y)
-            nc += 1
-        cid = [comp[g] for g in owner]  # vertex -> contracted id
-        for i, v in enumerate(group):
-            cid[v] = i
-        first = [-1] * nc
-        to, cap, nxt = [], [], []
-        for u, v, w in edges:
-            x, y = cid[u], cid[v]
-            if x != y:
-                a = len(to)
-                to += (y, x)
-                cap += (w, w)
-                nxt += (first[x], first[y])
-                first[x] = a
-                first[y] = a + 1
-        s, t = terms[gi][0], terms[gi][1]
+        g, b = order[i], len(terms)     # the group to split, the new one
+        edge_at, first, to, cap, nxt = nets[g]
+        ts = terms[g]
+        s0 = s = ts[0]
+        t = ts[1]
         flip = degree[t] < degree[s]
         if flip:
             s, t = t, s
-        value, level = max_flow_on_arcs(nc, first, to, cap, nxt,
-                                        cid[s], cid[t])
-        side = [(x >= 0) != flip for x in level]
-        bi = len(members)
-        members[gi] = [v for i, v in enumerate(group) if side[i]]
-        members.append([v for i, v in enumerate(group) if not side[i]])
-        for v in members[bi]:
-            owner[v] = bi
-        terms.append([x for x in terms[gi] if owner[x] == bi])
-        terms[gi] = [x for x in terms[gi] if owner[x] == gi]
-        moved = {nb: w for nb, w in tree[gi].items() if not side[comp[nb]]}
-        for nb, w in moved.items():
-            del tree[gi][nb]
-            del tree[nb][gi]
-            tree[nb][bi] = w
-        moved[gi] = tree[gi][bi] = value
-        tree.append(moved)
+        nc = len(first)
+        value, level = max_flow_on_arcs(nc, first, to, cap[:], nxt,
+                                        where[s], where[t])
+        reach = nc - level.count(-1)
+        if reach == 1 or reach == nc - 1:
+            # one terminal cut off alone: its position becomes the new edge's
+            # super-vertex, and the rest of the network stays as it is
+            x = s if reach == 1 else t
+            terms.append([x])
+            ts.remove(x)
+            edge_at[where[x]] = len(tree)
+            nets.append(None)
+            if len(ts) < 2:
+                nets[g] = None
+        else:
+            side = [(y >= 0) != flip for y in level]   # True: s0's side
+            new, size = [], [0, 0]  # position -> its position on its side
+            for z in side:
+                new.append(size[z])
+                size[z] += 1
+            inner, cut = ([], []), ({}, {})
+            for y, x, w in zip(to[::2], to[1::2], cap[::2]):
+                z, zy = side[x], side[y]
+                x, y = new[x], new[y]
+                if z == zy:
+                    inner[z].append((x, y, w))
+                else:
+                    cut[z][x] = cut[z].get(x, 0) + w
+                    cut[zy][y] = cut[zy].get(y, 0) + w
+            for e, z in zip(edge_at, side):
+                if e >= 0 and not z:
+                    u, v, w = tree[e]
+                    tree[e] = (b if u == g else u, b if v == g else v, w)
+            terms[g] = [x for x in ts if side[where[x]]]
+            terms.append([x for x in ts if not side[where[x]]])
+            for x in ts:
+                where[x] = new[where[x]]
+            nets[g], net = [
+                ([e for e, y in zip(edge_at, side) if y == z] + [len(tree)],
+                 *_dinic_py.arcs(size[z] + 1, inner[z] + [
+                     (x, size[z], w) for x, w in cut[z].items()]))
+                if len(terms[h]) > 1 else None
+                for z, h in ((True, g), (False, b))]
+            nets.append(net)
+        order.append(b)
+        if terms[b][0] == s0:       # s0's group keeps the slot
+            order[i], order[-1] = b, g
+        tree.append((g, b, value))
     label = [ts[0] for ts in terms]
     out = sorted((min(label[a], label[b]), max(label[a], label[b]), w)
-                 for a, nbs in enumerate(tree) for b, w in nbs.items() if a < b)
+                 for a, b, w in tree)
     return CutTree(tuple(sorted(label)), tuple(out))
 
 

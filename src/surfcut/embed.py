@@ -470,14 +470,29 @@ def parse_graph(text: str) -> EmbeddedGraph:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     it = iter(lines)
+
+    def count(key):
+        line = next(it)
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise GraphFormatError(
+                f"expected {key!r} and one count, got {line!r}")
+        return int(parts[1])
+
     try:
-        n = int(next(it).split()[1])
+        n = count("V")
         if n < 1:
             raise GraphFormatError(f"graph needs at least one vertex, got {n}")
-        m = int(next(it).split()[1])
+        m = count("E")
+        if m < 0:
+            raise GraphFormatError(f"negative edge count {m}")
         raw_edges = []
         for _ in range(m):
-            parts = next(it).split()
+            line = next(it)
+            parts = line.split()
+            if len(parts) != 4:
+                raise GraphFormatError(
+                    f"edge line {line!r} does not hold id, tail, head, weight")
             raw_edges.append((int(parts[0]), int(parts[1]), int(parts[2]),
                               Fraction(parts[3])))
         rotations = [None] * n

@@ -60,6 +60,9 @@ class TestExitCodes:
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR -1 1\n",      # vertex id out of range
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR 0 0\n",       # repeated vertex id
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\nR 1 1\n",  # trailing line
+        "X 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",       # wrong vertex keyword
+        "V 2 9\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",     # extra header token
+        "V 2\nE -1\nR 0\nR 1\n",                   # negative edge count
     ])
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_degenerate_graph(self, tmp_path, capsys, text, command):

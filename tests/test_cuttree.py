@@ -14,6 +14,7 @@ from surfcut.cuttree import (
     max_flow_min_cut,
     validate_cut_tree,
 )
+from surfcut.embed import dual
 from surfcut.errors import DisconnectedGraphError
 from surfcut.oracle import (
     all_pairs_min_cut,
@@ -296,6 +297,39 @@ class TestIncrementalGomoryHu:
             assert t.path_min(x, y) == max_flow_min_cut(n, edges, x, y)[0]
 
 
+class CountedList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestGomoryHuAtSize:
+    """Planar duals with F = 36 and 96 faces: many splits deep, so
+    super-vertices are carried across many levels of groups."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", [20, 50])
+    def test_planar_duals_match_rebuilt_contraction(self, k, seed):
+        g = gen.planar_triangulation(k, seed, max_weight=2)
+        for h in (g, weights.perturb_graph(g, seed)):
+            d = dual(h)
+            assert gomory_hu(d.vertex_count, d.edges) == \
+                rebuilt_gomory_hu(d.vertex_count, d.edges)
+
+    def test_input_edges_are_read_a_fixed_number_of_times(self):
+        passes = []
+        for k in (20, 50):
+            d = dual(gen.planar_triangulation(k, 0, max_weight=2))
+            edges = CountedList(d.edges)
+            gomory_hu(d.vertex_count, edges)
+            passes.append(edges.passes)
+        assert passes[0] == passes[1]
+
+
 @st.composite
 def loopy_multigraphs(draw):
     """A multigraph on 2..9 vertices with parallel edges, zero weights and
@@ -306,21 +340,6 @@ def loopy_multigraphs(draw):
                           max_size=18))
     s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
     return n, edges, s, t
-
-
-def arc_arrays(n, edges):
-    """The kernel's arc arrays, written one edge at a time as
-    ``gomory_hu`` writes them, but with self-loops kept."""
-    first = [-1] * n
-    to, cap, nxt = [], [], []
-    for u, v, w in edges:
-        a = len(to)
-        to += (v, u)
-        cap += (w, w)
-        nxt += (first[u], first[v])
-        first[u] = a
-        first[v] = a + 1
-    return first, to, cap, nxt
 
 
 class TestArcArrays:
@@ -334,7 +353,7 @@ class TestArcArrays:
             want = max_flow_min_cut(n, edges, x, y)
             assert want == brute_force_min_cut(n, edges, x, y)
             for flow in (_dinic_py.search, cuttree.max_flow_on_arcs):
-                value, level = flow(n, *arc_arrays(n, edges), x, y)
+                value, level = flow(n, *_dinic_py.arcs(n, edges), x, y)
                 assert (value, {v for v in range(n) if level[v] >= 0}) \
                     == want
 

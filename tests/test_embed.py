@@ -272,10 +272,30 @@ R 2 3 4
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR -1 1\n",    # vertex id out of range
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR 0 0\n",     # repeated vertex id
         "V 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\nR 1 1\n",  # trailing line
+        "X 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",     # wrong vertex keyword
+        "V 2\nY 1\n0 0 1 1\nR 0 0\nR 1 1\n",     # wrong edge keyword
+        "V 2\nE 1\n0 0 1 1 junk\nR 0 0\nR 1 1\n",  # fifth edge token
+        "V 2 9\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",   # extra header token
+        "V 2\nE -1\nR 0\nR 1\n",                 # negative edge count
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(GraphFormatError):
             parse_graph(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("X 2\nY 1\n0 0 1 1 junk\nR 0 0\nR 1 1\n",
+         "expected 'V' and one count, got 'X 2'"),
+        ("V 2\nY 1\n0 0 1 1\nR 0 0\nR 1 1\n",
+         "expected 'E' and one count, got 'Y 1'"),
+        ("V 2 9\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",
+         "expected 'V' and one count, got 'V 2 9'"),
+        ("V 2\nE 1\n0 0 1 1 junk\nR 0 0\nR 1 1\n",
+         "edge line '0 0 1 1 junk' does not hold id, tail, head, weight"),
+        ("V 2\nE -1\nR 0\nR 1\n", "negative edge count -1"),
+    ])
+    def test_header_and_edge_errors_name_the_fault(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            parse_graph(text)
 
     @pytest.mark.parametrize("rotations, message", [
         ("R 0 0\nR -1 1\n", "rotation line for vertex -1 outside 0..1"),
