@@ -1,4 +1,4 @@
-"""Dinic maximum flow, pure Python reference implementation.
+"""Dinic maximum flow, pure Python kernel.
 
 Works on undirected edges with exact integer capacities.  Returns both the
 flow value and the source side of the induced minimum cut (the vertices
@@ -8,25 +8,14 @@ The network lives in four arc arrays: arc ``2i`` runs along edge i and arc
 ``2i + 1`` back, ``to[a]`` is an arc's head (so ``to[a ^ 1]`` is its tail),
 ``cap[a]`` its residual capacity, and ``first[u]``/``nxt[a]`` thread the arcs
 leaving each vertex into a list ended by -1.  ``arcs`` writes them from an edge
-list.  ``max_flow`` runs ``search`` on them once; ``cuttree.gomory_hu`` keeps
-one set per unfinished Gomory-Hu group and runs ``search`` (through
-``cuttree.max_flow_on_arcs``) on a copy of its capacities, so that they stay
-the group's own.
+list, and ``search`` runs the flow on them.  The compiled kernel, the
+hand-written ``_dinic.c``, exports the same ``search`` and implements the same
+algorithm, so the two are edited together; it reads the arrays and leaves
+``cap`` as it was, while this ``search`` leaves it residual.  Both are called
+through ``cuttree.max_flow_on_arcs``, which hands this one a copy of ``cap``.
 """
 
 from __future__ import annotations
-
-
-def max_flow(n, edges, s, t):
-    """Maximum s-t flow in an undirected graph.
-
-    ``edges`` is a list of ``(u, v, capacity)``; returns ``(value, side)``
-    where ``side`` is the frozenset of vertices residual-reachable from ``s``.
-    """
-    if s == t:
-        raise ValueError("source equals sink")
-    total, level = search(n, *arcs(n, edges), s, t)
-    return total, frozenset(v for v in range(n) if level[v] >= 0)
 
 
 def arcs(n, edges):

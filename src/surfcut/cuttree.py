@@ -1,12 +1,14 @@
 """Exact max-flow, Gomory-Hu cut trees and the dual cut tree of a planar graph.
 
 Graphs here are plain weighted edge lists over integer vertex ids; the
-embedded structure is only needed upstream.  The max-flow kernel is the
-compiled Dinic extension when available, with a pure Python fallback
-(``SURFCUT_PURE=1`` forces the fallback).  Capacities too large for the
-compiled kernel's 64-bit arithmetic go to the fallback as well.  Edge lists
-enter through ``max_flow_min_cut``; Gomory-Hu steps hand the kernel arc
-arrays through ``max_flow_on_arcs``.
+embedded structure is only needed upstream.  The max-flow kernel is
+``search(n, first, to, cap, nxt, s, t)`` on Dinic arc arrays (see
+``_dinic_py``): the compiled extension ``_dinic`` when it is built, else the
+pure Python ``_dinic_py`` (``SURFCUT_PURE=1`` forces the latter).
+Capacities too large for the compiled kernel's 64-bit arithmetic go to the
+pure one as well.  ``max_flow_on_arcs`` is the one entry to either kernel:
+``max_flow_min_cut`` writes an edge list's arrays and calls it, and each
+Gomory-Hu step calls it on its group's arrays.
 """
 
 from __future__ import annotations
@@ -36,35 +38,32 @@ def max_flow_min_cut(n, edges, s, t):
     """Exact min st-cut: ``(value, side_of_s)`` with the residual source side."""
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError("terminal out of range")
-    arcs = [(u, v, w) for u, v, w in edges if w > 0]
-    if any(not (0 <= u < n and 0 <= v < n) for u, v, _ in arcs):
+    if s == t:
+        raise ValueError("source equals sink")
+    positive = [(u, v, w) for u, v, w in edges if w > 0]
+    if any(not (0 <= u < n and 0 <= v < n) for u, v, _ in positive):
         raise ValueError("edge endpoint out of range")
-    if _fits_compiled(2 * sum(w for _, _, w in arcs)):
-        return _dinic.max_flow(n, arcs, s, t)
-    return _dinic_py.max_flow(n, arcs, s, t)
+    value, level = max_flow_on_arcs(n, *_dinic_py.arcs(n, positive), s, t)
+    return value, frozenset(v for v in range(n) if level[v] >= 0)
 
 
 def max_flow_on_arcs(n, first, to, cap, nxt, s, t):
-    """Max s-t flow on a network already in the kernel's arc arrays (see
-    ``_dinic_py``); returns ``(value, level)`` with ``level[v] >= 0`` exactly
-    for the residual source side.  ``cap`` may be left residual."""
-    if _fits_compiled(sum(cap)):
-        value, side = _dinic.max_flow(
-            n, list(zip(to[1::2], to[::2], cap[::2])), s, t)
-        level = [-1] * n
-        for v in side:
-            level[v] = 0
-        return value, level
-    return _dinic_py.search(n, first, to, cap, nxt, s, t)
+    """Max s-t flow on a network in the kernel's arc arrays (see
+    ``_dinic_py``): ``(value, level)`` with ``level[v] >= 0`` exactly for the
+    residual source side.  ``cap`` is left as it was."""
+    if _fits_compiled(cap):
+        return _dinic.search(n, first, to, cap, nxt, s, t)
+    return _dinic_py.search(n, first, to, cap[:], nxt, s, t)
 
 
-def _fits_compiled(twice_total):
-    """Whether the compiled kernel is loaded and safe for a network whose
-    capacities sum to ``twice_total`` over both directions of every edge.
-    It holds capacities in signed 64-bit ints; a residual capacity is at
-    most twice an edge's and the flow at most the total, so twice the total
-    must stay below 2**63."""
-    return _dinic is not _dinic_py and twice_total < 2 ** 63
+def _fits_compiled(cap):
+    """Whether the compiled kernel is loaded and safe for the arc capacities
+    ``cap``, which hold every edge's capacity twice, once per direction.
+    That kernel holds capacities in signed 64-bit ints; a residual capacity
+    is at most twice an edge's and the flow at most the total, so twice the
+    total must stay below 2**63.  The kernel is checked first, so the pure
+    kernel never sums."""
+    return _dinic is not _dinic_py and sum(cap) < 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,8 @@ class CutTree:
     def from_json(cls, text: str) -> "CutTree":
         """Parse ``to_json`` output.  Raises QueryInputError unless the
         payload holds distinct integer nodes and integer ``[u, v, w]`` edges,
-        ``w >= 0``, that form a spanning tree over them."""
+        ``w >= 0``, that form a spanning tree over them, and a string
+        ``host_checksum`` if it holds one."""
         payload = json.loads(text)
         if not (isinstance(payload, dict)
                 and isinstance(payload.get("nodes"), list)
@@ -170,9 +170,13 @@ class CutTree:
             comp[a] = b
         if len(payload["edges"]) != len(comp) - 1:
             raise QueryInputError("cut tree edges do not span its nodes")
+        checksum = payload.get("host_checksum", "")
+        if not isinstance(checksum, str):
+            raise QueryInputError(
+                f'cut tree "host_checksum" {checksum!r} is not a string')
         return cls(tuple(payload["nodes"]),
                    tuple((u, v, w) for u, v, w in payload["edges"]),
-                   payload.get("host_checksum", ""))
+                   checksum)
 
 
 def host_checksum(text: str) -> str:
@@ -257,7 +261,7 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
         if flip:
             s, t = t, s
         nc = len(first)
-        value, level = max_flow_on_arcs(nc, first, to, cap[:], nxt,
+        value, level = max_flow_on_arcs(nc, first, to, cap, nxt,
                                         where[s], where[t])
         reach = nc - level.count(-1)
         if reach == 1 or reach == nc - 1:

@@ -125,6 +125,9 @@ class TestExitCodes:
          "closes a cycle"),
         ('{"tree": {"nodes": [0, 1, 2], "edges": [[0, 1, -5], [1, 2, 3]]}}',
          "cut tree edge [0, 1, -5] has a negative weight"),
+        ('{"tree": {"nodes": [0, 1], "edges": [[0, 1, 1]],'
+         ' "host_checksum": [1, 2]}}',
+         'cut tree "host_checksum" [1, 2] is not a string'),
     ])
     def test_malformed_artifact(self, tmp_path, capsys, artifact, message):
         tree_path = tmp_path / "tree.json"

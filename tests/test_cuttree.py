@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from surfcut.cuttree import (
     validate_cut_tree,
 )
 from surfcut.embed import dual
-from surfcut.errors import DisconnectedGraphError
+from surfcut.errors import DisconnectedGraphError, QueryInputError
 from surfcut.oracle import (
     all_pairs_min_cut,
     brute_force_min_cut,
@@ -26,10 +27,14 @@ from surfcut.oracle import (
 
 try:
     from surfcut import _dinic
-    KERNELS = [_dinic.max_flow, _dinic_py.max_flow]
+    KERNELS = [_dinic.search, _dinic_py.search]
 except ImportError:
     _dinic = None
-    KERNELS = [_dinic_py.max_flow]
+    KERNELS = [_dinic_py.search]
+
+
+def residual_side(n, level):
+    return {v for v in range(n) if level[v] >= 0}
 
 
 class TestMaxFlow:
@@ -67,10 +72,10 @@ class TestMaxFlow:
     @pytest.mark.parametrize("seed", range(5))
     def test_kernels_agree(self, seed):
         n, edges = gen.random_connected_graph(10, seed=seed + 50)
+        ref = brute_force_min_cut(n, edges, 0, n - 1)
         for kernel in KERNELS:
-            value, side = kernel(n, edges, 0, n - 1)
-            ref = brute_force_min_cut(n, edges, 0, n - 1)[0]
-            assert value == ref
+            value, level = kernel(n, *_dinic_py.arcs(n, edges), 0, n - 1)
+            assert (value, residual_side(n, level)) == ref
 
 
 def laminar(sides, universe):
@@ -347,15 +352,40 @@ class TestArcArrays:
     @given(loopy_multigraphs())
     def test_search_matches_edge_list_entry(self, case):
         n, edges, s, t = case
+        caps = _dinic_py.arcs(n, edges)[2]
         for x, y in ((s, t), (t, s)):
             # the residual source side is the least minimum cut's side, the
             # one the enumeration finds first
             want = max_flow_min_cut(n, edges, x, y)
             assert want == brute_force_min_cut(n, edges, x, y)
             for flow in (_dinic_py.search, cuttree.max_flow_on_arcs):
-                value, level = flow(n, *_dinic_py.arcs(n, edges), x, y)
-                assert (value, {v for v in range(n) if level[v] >= 0}) \
-                    == want
+                first, to, cap, nxt = _dinic_py.arcs(n, edges)
+                value, level = flow(n, first, to, cap, nxt, x, y)
+                assert (value, residual_side(n, level)) == want
+            # the last flow, max_flow_on_arcs, leaves ``cap`` as it was
+            assert cap == caps
+
+    @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
+    @settings(max_examples=300, deadline=None)
+    @given(loopy_multigraphs())
+    def test_compiled_search_matches_pure(self, case):
+        n, edges, s, t = case
+        first, to, cap, nxt = _dinic_py.arcs(n, edges)
+        caps = cap[:]
+        for x, y in ((s, t), (t, s)):
+            value, level = _dinic.search(n, first, to, cap, nxt, x, y)
+            assert cap == caps      # the compiled kernel does not write it
+            want, want_level = _dinic_py.search(n, first, to, caps[:], nxt,
+                                                x, y)
+            assert (value, residual_side(n, level)) == \
+                (want, residual_side(n, want_level))
+
+    @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
+    def test_compiled_search_rejects(self):
+        with pytest.raises(OverflowError):
+            _dinic.search(2, *_dinic_py.arcs(2, [(0, 1, 2 ** 63)]), 0, 1)
+        with pytest.raises(ValueError):
+            _dinic.search(2, *_dinic_py.arcs(2, [(0, 1, 1)]), 0, 0)
 
     @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
     @settings(max_examples=200, deadline=None)
@@ -440,3 +470,28 @@ def test_edge_certificate_matches_all_pairs(case):
     n, edges, t = case
     assert (validate_cut_tree(t, n, edges) == []) == \
         all_pairs_holds(t, n, edges)
+
+
+class TestFromJson:
+    def test_round_trip(self):
+        t = CutTree((0, 1, 2), ((0, 1, 3), (1, 2, 0)), "0123abcd")
+        assert CutTree.from_json(t.to_json()) == t
+        assert hash(CutTree.from_json(t.to_json())) == hash(t)
+
+    @pytest.mark.parametrize("text, message", [
+        ('[]', 'must be an object with "nodes" and "edges" lists'),
+        ('{"nodes": [0, 0], "edges": []}', "distinct integers"),
+        ('{"nodes": [0, 1], "edges": [[0, 1]]}', "is not an integer [u, v, w]"),
+        ('{"nodes": [0, 1], "edges": [[0, 1, -1]]}', "negative weight"),
+        ('{"nodes": [0, 1], "edges": [[0, 2, 1]]}', "does not hold"),
+        ('{"nodes": [0, 1], "edges": [[0, 1, 1], [1, 0, 1]]}',
+         "closes a cycle"),
+        ('{"nodes": [0, 1, 2], "edges": [[0, 1, 1]]}', "do not span"),
+        ('{"nodes": [0, 1], "edges": [[0, 1, 1]], "host_checksum": [1, 2]}',
+         '"host_checksum" [1, 2] is not a string'),
+        ('{"nodes": [0, 1], "edges": [[0, 1, 1]], "host_checksum": 7}',
+         '"host_checksum" 7 is not a string'),
+    ])
+    def test_rejects(self, text, message):
+        with pytest.raises(QueryInputError, match=re.escape(message)):
+            CutTree.from_json(text)
