@@ -85,21 +85,6 @@ class CutTree:
             adj[v].append((u, w, i))
         return adj
 
-    def path_min(self, x, y):
-        """Minimum edge weight on the x-to-y tree path (linear scan)."""
-        adj = self.adjacency()
-        stack = [(x, None)]
-        seen = {x}
-        while stack:
-            u, m = stack.pop()
-            if u == y:
-                return m
-            for v, w, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append((v, w if m is None else min(m, w)))
-        raise KeyError(f"{y} not in tree")
-
     def bipartitions(self):
         """The node set on the first-endpoint side of every edge, in edge
         order, from one rooted pass that collects the node set under every
@@ -330,9 +315,9 @@ def validate_cut_tree(t: CutTree, n, edges):
     edge's endpoints.  Then every pair's minimum cut is the lightest edge on
     its tree path: that edge's side separates the pair, and a minimum cut of
     the pair separates some consecutive endpoints on the path.  An edge whose
-    side is no minimum cut gives its own endpoints a wrong ``path_min``, so
+    side is no minimum cut gives its own endpoints a wrong path minimum, so
     the report is empty exactly when every edge weight is its side's cut and
-    ``path_min`` equals the max-flow oracle on all pairs.
+    every pair's path minimum equals the max-flow oracle.
     """
     report = []
     if sorted(t.nodes) != sorted(set(t.nodes)) or len(t.nodes) != n:

@@ -1,5 +1,6 @@
 """Reference implementations: brute-force cuts, exhaustive separating
-subgraphs, and the surface and homology tools that only tests use.
+subgraphs, the cut-tree path scan, and the surface and homology tools that
+only tests use.
 
 The build path never calls into this module; tests check the build against
 it.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cuttree import max_flow_min_cut
+from .cuttree import CutTree, max_flow_min_cut
 from .embed import (
     ClosedCurve,
     EmbeddedGraph,
@@ -53,6 +54,23 @@ def brute_force_min_cut(n, edges, s, t):
     return best
 
 
+def path_min(t: CutTree, x, y):
+    """Minimum edge weight on the x-to-y path of cut tree ``t`` (linear
+    scan); the reference for ``query.min_cut_query``."""
+    adj = t.adjacency()
+    stack = [(x, None)]
+    seen = {x}
+    while stack:
+        u, m = stack.pop()
+        if u == y:
+            return m
+        for v, w, _ in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append((v, w if m is None else min(m, w)))
+    raise KeyError(f"{y} not in tree")
+
+
 def collection_min_cut(collection: Collection, trees, a: int, b: int):
     """Minimum separating-subgraph weight between two original faces.
 
@@ -66,7 +84,7 @@ def collection_min_cut(collection: Collection, trees, a: int, b: int):
                        f"ordinary face of the original graph")
     best = None
     for i, t in enumerate(trees):
-        w = t.path_min(a, b)
+        w = path_min(t, a, b)
         if best is None or w < best[0]:
             best = (w, i)
     if best is None:

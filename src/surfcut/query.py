@@ -1,11 +1,14 @@
 """Constant-time min-cut queries over a cut tree.
 
-A Cartesian tree is built over the cut tree's edges (lightest edge at the
-root, built by merging components in decreasing weight order); the minimum
-edge weight on any tree path is then the weight at the lowest common
-ancestor of the two endpoint leaves.  LCA is answered in O(1) by one
-Euler-tour sparse table (O(n log n) space).  Only the cut tree is stored;
-the index is rebuilt from it in linearithmic time when queries are made.
+The cut tree's nodes are put in Kruskal order: components are merged along
+the edges from the heaviest ``(weight, index)`` down, and each merge appends
+one component's node sequence to the other's, so the merging edge sits in
+the gap between the two runs.  The lightest edge on the x-to-y path is the
+last merge that joined x and y, which is the lightest gap between their
+positions (the Cartesian-tree/RMQ correspondence of Bender and
+Farach-Colton).  One sparse table of least edge ranks over the F-1 gaps
+answers it in O(1) (O(F log F) space).  Only the cut tree is stored; the
+index is rebuilt from it in linearithmic time when queries are made.
 """
 
 from __future__ import annotations
@@ -16,109 +19,69 @@ from .cuttree import CutTree
 
 
 @dataclass
-class CartesianIndex:
-    """Cartesian tree over a cut tree's edges plus an O(1) LCA table.
+class KruskalIndex:
+    """A cut tree's nodes in Kruskal order plus an O(1) range-minimum table.
 
-    ``table[k][i]`` is the shallowest node among ``euler[i : i + 2**k]``.
+    ``by_weight`` holds the edge indices sorted by ``(weight, index)``; an
+    edge's rank is its place there.  ``table[0][p]`` is the rank of the edge
+    in the gap between positions ``p`` and ``p + 1``, and ``table[k][p]`` is
+    the least rank among the gaps ``p`` to ``p + 2**k - 1``.
     """
 
     tree: CutTree
-    children: list       # per cartesian node: () for leaves, (a, b) else
-    weight: list         # per node: None for leaves, cut weight else
-    edge_index: list     # per node: None for leaves, cut-tree edge index else
-    leaf_of: dict        # cut-tree node -> cartesian leaf id
-    root: int
-    first: list          # node -> first position in the Euler tour
-    depth: list          # node -> depth in the cartesian tree
+    position: dict       # cut-tree node -> position in Kruskal order
+    by_weight: list
     table: list
 
-    def lca(self, x, y):
-        i, j = self.first[x], self.first[y]
+    def lightest(self, x, y):
+        """Index of the lightest ``(weight, index)`` edge on the x-to-y path."""
+        if x == y:
+            raise ValueError("query endpoints must differ")
+        i, j = self.position[x], self.position[y]
         if i > j:
             i, j = j, i
-        k = (j - i + 1).bit_length() - 1
-        a = self.table[k][i]
-        b = self.table[k][j - (1 << k) + 1]
-        return a if self.depth[a] <= self.depth[b] else b
+        k = (j - i).bit_length() - 1
+        row = self.table[k]
+        a, b = row[i], row[j - (1 << k)]
+        return self.by_weight[a if a < b else b]    # cheaper than min()
 
 
-def build_index(t: CutTree) -> CartesianIndex:
+def build_index(t: CutTree) -> KruskalIndex:
     """Preprocess a cut tree for O(1) min-cut queries.
 
     Weight ties are broken by edge index.
     """
-    nodes = sorted(t.nodes)
-    n = len(nodes)
-    leaf_of = {v: i for i, v in enumerate(nodes)}
-    children = [() for _ in range(n)]
-    weight = [None] * n
-    edge_index = [None] * n
-    comp = list(range(n))        # union-find over cartesian roots
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
-    root_of = list(range(n))     # component id -> cartesian root node
-    order = sorted(range(len(t.edges)),
-                   key=lambda i: (t.edges[i][2], i), reverse=True)
-    node = n - 1
-    for i in order:
-        u, v, w = t.edges[i]
-        a, b = find(leaf_of[u]), find(leaf_of[v])
-        node += 1
-        children.append((root_of[a], root_of[b]))
-        weight.append(w)
-        edge_index.append(i)
-        comp[b] = a
-        root_of[a] = node
-    root = root_of[find(0)] if n > 1 else 0
-
-    euler = [root]
-    depth = [None] * len(children)
-    first = [None] * len(children)
-    depth[root] = first[root] = 0
-    stack = [(root, iter(children[root]))]
-    while stack:
-        x, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            stack.pop()
-            if stack:
-                euler.append(stack[-1][0])
-            continue
-        depth[child] = depth[x] + 1
-        first[child] = len(euler)
-        euler.append(child)
-        stack.append((child, iter(children[child])))
-
-    table = [euler]
+    by_weight = sorted(range(len(t.edges)), key=lambda i: (t.edges[i][2], i))
+    run = {v: ([v], []) for v in t.nodes}   # node -> its (nodes, gaps)
+    for rank in reversed(range(len(by_weight))):
+        u, v, _ = t.edges[by_weight[rank]]
+        a, b = run[u], run[v]
+        if len(a[0]) < len(b[0]):   # move the smaller run: O(F log F)
+            a, b = b, a
+        a[0].extend(b[0])
+        a[1].append(rank)
+        a[1].extend(b[1])
+        for x in b[0]:
+            run[x] = a
+    nodes, gaps = run[t.nodes[0]]
+    table = [gaps]
     half = 1
-    while 2 * half <= len(euler):
+    while 2 * half <= len(gaps):
         prev = table[-1]
-        table.append([a if depth[a] <= depth[b] else b
-                      for a, b in zip(prev, prev[half:])])
+        table.append(list(map(min, prev, prev[half:])))
         half *= 2
-    return CartesianIndex(t, children, weight, edge_index, leaf_of, root,
-                          first, depth, table)
+    return KruskalIndex(t, {v: p for p, v in enumerate(nodes)}, by_weight,
+                        table)
 
 
-def min_cut_query(idx: CartesianIndex, x, y):
+def min_cut_query(idx: KruskalIndex, x, y):
     """Minimum edge weight on the cut-tree path between x and y, in O(1)."""
-    if x == y:
-        raise ValueError("query endpoints must differ")
-    node = idx.lca(idx.leaf_of[x], idx.leaf_of[y])
-    return idx.weight[node]
+    return idx.tree.edges[idx.lightest(x, y)][2]
 
 
-def cut_partition(idx: CartesianIndex, x, y):
+def cut_partition(idx: KruskalIndex, x, y):
     """The two sides of the minimum cut separating x and y, as
     (side of x, side of y)."""
-    if x == y:
-        raise ValueError("query endpoints must differ")
-    node = idx.lca(idx.leaf_of[x], idx.leaf_of[y])
-    side = idx.tree.bipartitions()[idx.edge_index[node]]
+    side = idx.tree.bipartitions()[idx.lightest(x, y)]
     rest = frozenset(idx.tree.nodes) - side
     return (side, rest) if x in side else (rest, side)

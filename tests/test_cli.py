@@ -9,7 +9,6 @@ from surfcut.cuttree import CutTree, host_checksum, validate_cut_tree
 from surfcut.embed import dual, format_graph, parse_graph
 from surfcut.errors import CrossingCutsError
 from surfcut.oracle import min_face_cut
-from surfcut.query import build_index
 
 
 def run(argv):
@@ -272,13 +271,14 @@ class TestBuildQuery:
         pairs_path.write_text("0 8\n3 5\n1 2\n")
         assert run(["query", str(tree_path), str(pairs_path)]) == 0
         want = capsys.readouterr().out
-        # the block older builds wrote next to the tree
+        # the shape of the block older builds wrote next to the tree: a
+        # Cartesian tree whose nodes are leaves or [left, right] pairs
         payload = json.loads(tree_path.read_text())
-        idx = build_index(CutTree.from_json(json.dumps(payload["tree"])))
         payload["cartesian"] = {
-            "children": [list(c) for c in idx.children],
-            "weight": idx.weight, "edge_index": idx.edge_index,
-            "root": idx.root, "lca": "sparse"}
+            "children": [[], [], [], [0, 1], [3, 2]],
+            "weight": [None, None, None, 5, 3],
+            "edge_index": [None, None, None, 1, 0],
+            "root": 4, "lca": "sparse"}
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(payload, sort_keys=True,
                                      separators=(",", ":")) + "\n")

@@ -13,7 +13,7 @@ from surfcut.merge import (
     merged_collection_tree,
     project_member_tree,
 )
-from surfcut.oracle import min_face_cut
+from surfcut.oracle import min_face_cut, path_min
 from surfcut.reduction import member_trees, planar_collection
 
 
@@ -139,7 +139,7 @@ class TestMerge:
                 sorted((u, v, w) for (u, v), w in zip(base, ws)))))
         merged = merged_collection_tree(trees)
         for x, y in itertools.combinations(range(n), 2):
-            assert merged.path_min(x, y) == min(t.path_min(x, y)
+            assert path_min(merged, x, y) == min(path_min(t, x, y)
                                                 for t in trees)
 
     def test_merged_cuts_are_laminar(self):
@@ -168,7 +168,7 @@ class TestMerge:
             for (_, _, w), side in zip(t.edges, t.bipartitions()):
                 for x in side:
                     for y in frozenset(range(20)) - side:
-                        assert merged.path_min(x, y) <= w
+                        assert path_min(merged, x, y) <= w
 
     def test_crossing_minimum_cuts_detected(self):
         t1 = CutTree((0, 1, 2, 3), ((0, 1, 5), (1, 2, 1), (2, 3, 5)))
@@ -206,7 +206,7 @@ class TestCollectionMerge:
         faces = sorted(g.ordinary_faces())
         assert sorted(merged.nodes) == faces
         for a, b in itertools.combinations(faces, 2):
-            assert weights.restore(merged.path_min(a, b), g.edge_count) == \
+            assert weights.restore(path_min(merged, a, b), g.edge_count) == \
                 min_face_cut(g, a, b)[0]
 
     def test_projection_drops_boundary_faces(self):

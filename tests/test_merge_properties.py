@@ -29,6 +29,7 @@ from surfcut.merge import (  # noqa: E402
     merged_collection_tree,
     project_member_tree,
 )
+from surfcut.oracle import path_min  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -291,7 +292,7 @@ def is_gomory_hu_tree(tree, leaf_trees, nodes):
         side = universe - part if nodes[0] in part else part
         if (side, w) not in held or table[(min(u, v), max(u, v))] != w:
             return False
-    return all(tree.path_min(x, y) == w for (x, y), w in table.items())
+    return all(path_min(tree, x, y) == w for (x, y), w in table.items())
 
 
 def shape(lt):

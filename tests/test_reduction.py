@@ -304,7 +304,7 @@ def per_member_tree(m, base):
 
 
 def path_mins(t):
-    """``t.path_min(x, y)`` for every ordered pair of nodes, one walk from
+    """``oracle.path_min(t, x, y)`` for every ordered pair of nodes, one walk from
     each node."""
     adj = t.adjacency()
     out = {}
