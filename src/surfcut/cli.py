@@ -1,7 +1,7 @@
 """Command-line frontend: generate, build, query, verify.
 
-``build`` writes only the cut tree and the seed; ``query`` rebuilds the LCA
-index from the stored tree and answers each pair line in O(1).
+``build`` writes only the cut tree and the seed; ``query`` rebuilds the
+range-minimum index from the stored tree and answers each pair line in O(1).
 
 Global flags are ``--seed`` and ``--format``.  Exit codes: 0 success, 2
 input failure (a malformed graph or artifact, or a bad query pair line), 3
@@ -19,6 +19,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import repeat
 
 from . import gen, weights
 from .cuttree import CutTree, dual_cut_tree, host_checksum, validate_cut_tree
@@ -55,12 +56,8 @@ def _write(path, text):
             fh.write(text)
 
 
-def _emit(args, payload, text_lines):
-    if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        out = "".join(line + "\n" for line in text_lines)
-    _write(getattr(args, "output", "-") or "-", out)
+def _json_line(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def build_tree(g, seed: int):
@@ -81,9 +78,8 @@ def build_tree(g, seed: int):
 def cmd_build(args):
     g = parse_graph(_read(args.input))
     tree = build_tree(g, args.seed)
-    payload = {"tree": json.loads(tree.to_json()), "seed": args.seed}
-    _write(args.output, json.dumps(payload, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
+    _write(args.output,
+           _json_line({"tree": json.loads(tree.to_json()), "seed": args.seed}))
     return 0
 
 
@@ -93,28 +89,50 @@ def cmd_query(args):
         raise QueryInputError(f'{args.tree}: artifact has no "tree"')
     tree = CutTree.from_json(json.dumps(payload["tree"]))
     idx = build_index(tree)
-    results = []
-    for lineno, line in enumerate(_read(args.pairs).splitlines(), 1):
-        line = line.split("#")[0].strip()
+    text = _read(args.pairs)
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    # Bulk passes over all pairs; any failure walks the lines for the first
+    # bad one.  ``min_cut_query`` is looked up here, at call time, so a
+    # wrapper installed on this module sees every answer.
+    try:
+        if not set(map(len, map(str.split, lines))) <= {0, 2}:
+            raise ValueError("a pairs line does not hold two tokens")
+        nums = list(map(int, " ".join(lines).split()))
+        xs, ys = nums[0::2], nums[1::2]
+        ws = list(map(min_cut_query, repeat(idx), xs, ys))
+    except (ValueError, KeyError):
+        _raise_first_bad_line(args.pairs, lines, idx)
+        raise
+    if args.format == "json":
+        out = _json_line(list(zip(xs, ys, ws)))
+    else:
+        out = "".join(map("%d %d %d\n".__mod__, zip(xs, ys, ws)))
+    _write(args.output or "-", out)
+    return 0
+
+
+def _raise_first_bad_line(name, lines, idx):
+    """Raise the QueryInputError of the first line, in file order, that is
+    not two integers naming distinct faces of the cut tree."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
         if not line:
             continue
         try:
             x, y = (int(tok) for tok in line.split())
         except ValueError:
-            raise QueryInputError(f"{args.pairs} line {lineno}: expected "
+            raise QueryInputError(f"{name} line {lineno}: expected "
                                   f"'<x> <y>', got {line!r}") from None
         try:
-            results.append((x, y, min_cut_query(idx, x, y)))
+            min_cut_query(idx, x, y)
         except KeyError as exc:
-            raise QueryInputError(f"{args.pairs} line {lineno}: face "
+            raise QueryInputError(f"{name} line {lineno}: face "
                                   f"{exc.args[0]} is not in the cut tree"
                                   ) from None
         except ValueError as exc:
-            raise QueryInputError(
-                f"{args.pairs} line {lineno}: {exc}") from None
-    _emit(args, [list(r) for r in results],
-          [f"{x} {y} {w}" for x, y, w in results])
-    return 0
+            raise QueryInputError(f"{name} line {lineno}: {exc}") from None
 
 
 def cmd_verify(args):
@@ -132,8 +150,12 @@ def cmd_verify(args):
           not validate_cut_tree(tree, d.vertex_count, list(d.edges)))
     again = build_tree(g, args.seed)
     check("deterministic-rebuild", again == tree)
-    lines = [f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in report]
-    _emit(args, {name: ok for name, ok in report}, lines)
+    if args.format == "json":
+        out = _json_line(dict(report))
+    else:
+        out = "".join(f"{name}: {'pass' if ok else 'FAIL'}\n"
+                      for name, ok in report)
+    _write(args.output or "-", out)
     return 0 if all(ok for _, ok in report) else 1
 
 

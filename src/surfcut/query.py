@@ -23,18 +23,20 @@ class KruskalIndex:
     """A cut tree's nodes in Kruskal order plus an O(1) range-minimum table.
 
     ``by_weight`` holds the edge indices sorted by ``(weight, index)``; an
-    edge's rank is its place there.  ``table[0][p]`` is the rank of the edge
-    in the gap between positions ``p`` and ``p + 1``, and ``table[k][p]`` is
-    the least rank among the gaps ``p`` to ``p + 2**k - 1``.
+    edge's rank is its place there, and ``weight[r]`` is the weight of the
+    edge of rank ``r``.  ``table[0][p]`` is the rank of the edge in the gap
+    between positions ``p`` and ``p + 1``, and ``table[k][p]`` is the least
+    rank among the gaps ``p`` to ``p + 2**k - 1``.
     """
 
     tree: CutTree
     position: dict       # cut-tree node -> position in Kruskal order
     by_weight: list
+    weight: list
     table: list
 
     def lightest(self, x, y):
-        """Index of the lightest ``(weight, index)`` edge on the x-to-y path."""
+        """Rank of the lightest ``(weight, index)`` edge on the x-to-y path."""
         if x == y:
             raise ValueError("query endpoints must differ")
         i, j = self.position[x], self.position[y]
@@ -43,7 +45,7 @@ class KruskalIndex:
         k = (j - i).bit_length() - 1
         row = self.table[k]
         a, b = row[i], row[j - (1 << k)]
-        return self.by_weight[a if a < b else b]    # cheaper than min()
+        return a if a < b else b    # cheaper than min()
 
 
 def build_index(t: CutTree) -> KruskalIndex:
@@ -71,17 +73,26 @@ def build_index(t: CutTree) -> KruskalIndex:
         table.append(list(map(min, prev, prev[half:])))
         half *= 2
     return KruskalIndex(t, {v: p for p, v in enumerate(nodes)}, by_weight,
-                        table)
+                        [t.edges[i][2] for i in by_weight], table)
 
 
 def min_cut_query(idx: KruskalIndex, x, y):
     """Minimum edge weight on the cut-tree path between x and y, in O(1)."""
-    return idx.tree.edges[idx.lightest(x, y)][2]
+    return idx.weight[idx.lightest(x, y)]
 
 
 def cut_partition(idx: KruskalIndex, x, y):
     """The two sides of the minimum cut separating x and y, as
-    (side of x, side of y)."""
-    side = idx.tree.bipartitions()[idx.lightest(x, y)]
-    rest = frozenset(idx.tree.nodes) - side
-    return (side, rest) if x in side else (rest, side)
+    (side of x, side of y): the nodes a walk from x reaches without crossing
+    the lightest edge on the x-to-y path, and the rest."""
+    cut = idx.by_weight[idx.lightest(x, y)]
+    adj = idx.tree.adjacency()
+    side = {x}
+    stack = [x]
+    while stack:
+        for v, _, i in adj[stack.pop()]:
+            if i != cut and v not in side:
+                side.add(v)
+                stack.append(v)
+    side = frozenset(side)
+    return side, frozenset(idx.tree.nodes) - side

@@ -1,18 +1,67 @@
+import contextlib
+import io
 import itertools
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfcut import cli, cuttree, gen, reduction
 from surfcut.cuttree import CutTree, host_checksum, validate_cut_tree
 from surfcut.embed import dual, format_graph, parse_graph
 from surfcut.errors import CrossingCutsError
 from surfcut.oracle import min_face_cut
+from surfcut.query import build_index, min_cut_query
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def reference_query(tree_path, pairs_path, fmt):
+    """``surfcut --format fmt query`` as the line-by-line loop that answered
+    each pair as it parsed it, kept as the oracle for the bulk passes:
+    ``(exit code, stdout, stderr)``."""
+    with open(tree_path) as fh:
+        tree = CutTree.from_json(json.dumps(json.load(fh)["tree"]))
+    idx = build_index(tree)
+    with open(pairs_path) as fh:
+        text = fh.read()
+
+    def bad(lineno, message):
+        return 2, "", f"error: {pairs_path} line {lineno}: {message}\n"
+
+    results = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#")[0].strip()
+        if not line:
+            continue
+        try:
+            x, y = (int(tok) for tok in line.split())
+        except ValueError:
+            return bad(lineno, f"expected '<x> <y>', got {line!r}")
+        try:
+            results.append((x, y, min_cut_query(idx, x, y)))
+        except KeyError as exc:
+            return bad(lineno, f"face {exc.args[0]} is not in the cut tree")
+        except ValueError as exc:
+            return bad(lineno, exc)
+    if fmt == "json":
+        out = json.dumps([list(r) for r in results], sort_keys=True,
+                         separators=(",", ":")) + "\n"
+    else:
+        out = "".join(f"{x} {y} {w}\n" for x, y, w in results)
+    return 0, out, ""
+
+
+def captured_run(argv):
+    """``(exit code, stdout, stderr)`` of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def all_path_mins(edges):
@@ -217,11 +266,14 @@ class TestBuildQuery:
         tree_path = tmp_path / "tree.json"
         run(["build", str(torus_file), "-o", str(tree_path)])
         pairs_path = tmp_path / "pairs.txt"
-        pairs_path.write_text("0 1\n")
+        pairs_path.write_text("0 1\n# faces 3 and 7\n3 7\n\n8 2  # last\n")
         assert run(["--format", "json", "query", str(tree_path),
                     str(pairs_path)]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert len(data) == 1 and data[0][:2] == [0, 1]
+        assert run(["query", str(tree_path), str(pairs_path)]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert [row[:2] for row in data] == [[0, 1], [3, 7], [8, 2]]
+        assert data == [[int(tok) for tok in line.split()] for line in text]
 
     def test_planar_build(self, tmp_path, capsys):
         graph_path = tmp_path / "p.graph"
@@ -357,3 +409,65 @@ class TestDeterminism:
             assert "deterministic-rebuild: pass" in out
             assert out.count(": pass\n") == 3
 
+
+# Tokens of a pairs file: faces of the 3x3 torus's tree (0-8), spellings
+# ``int`` accepts, faces the tree lacks, and non-integers.
+FACE_TOKENS = [str(f) for f in range(9)]
+ODD_TOKENS = ["+3", "007", "1_0", "-0", "٣", "9", "99", "-1", "12", "x",
+              "1.5", "0x1", "1__0", "_1", "--2"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85"]
+
+
+@st.composite
+def pairs_files(draw):
+    """Pairs files mixing pairs of distinct faces, blank lines, comments,
+    tabs and every kind of line break with odd lines: ``x x``, odd token
+    spellings, and 1 or 3 tokens.  ``noise`` percent of the lines are odd, so
+    some files are valid and others hold several bad lines."""
+    noise = draw(st.sampled_from([0, 0, 2, 10, 40]))
+    space = st.sampled_from(["", "", " ", "\t", " \t "])
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        odd = draw(st.integers(0, 99)) < noise
+        if not draw(st.integers(0, 3)):
+            tokens = []
+        elif not odd:
+            tokens = draw(st.lists(st.sampled_from(FACE_TOKENS), min_size=2,
+                                   max_size=2, unique=True))
+        elif not draw(st.integers(0, 2)):
+            tokens = [draw(st.sampled_from(FACE_TOKENS))] * 2
+        else:
+            tokens = [draw(st.sampled_from(FACE_TOKENS + ODD_TOKENS))
+                      for _ in range(draw(st.sampled_from([1, 2, 2, 3])))]
+        line = (draw(space) + draw(st.sampled_from([" ", "\t", "  "]))
+                .join(tokens) + draw(space))
+        if draw(st.booleans()):
+            line += "#" + draw(st.sampled_from(["", " note", "0 1", "x#y"]))
+        parts.append(line + draw(st.sampled_from(LINE_BREAKS)))
+    if parts and draw(st.booleans()):
+        parts[-1] = parts[-1].rstrip("".join(LINE_BREAKS))
+    return "".join(parts)
+
+
+@pytest.fixture(scope="module")
+def torus_tree(tmp_path_factory):
+    work = tmp_path_factory.mktemp("grammar")
+    graph_path = work / "t3.graph"
+    tree_path = work / "tree.json"
+    assert run(["--seed", "7", "gen", "torus", "--size", "3",
+                "-o", str(graph_path)]) == 0
+    assert run(["--seed", "7", "build", str(graph_path),
+                "-o", str(tree_path)]) == 0
+    return tree_path
+
+
+class TestPairsGrammar:
+    @settings(max_examples=300, deadline=None)
+    @given(text=pairs_files())
+    def test_matches_line_by_line_reference(self, torus_tree, text):
+        pairs_path = torus_tree.parent / "pairs.txt"
+        pairs_path.write_bytes(text.encode())
+        for fmt in ("text", "json"):
+            assert captured_run(["--format", fmt, "query", str(torus_tree),
+                                 str(pairs_path)]) == \
+                reference_query(torus_tree, pairs_path, fmt)
