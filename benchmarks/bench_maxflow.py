@@ -6,8 +6,9 @@ Run from the repository root:
 
 The table times each kernel's ``search`` on random graphs, whose arc arrays
 are written before the timer starts, so that it times the kernel alone.
-One more line per kernel times ``dual_cut_tree`` of the perturbed 10-by-10
-torus grid (weights 1..100 from ``random.Random(7)``, seed 7).
+Two more lines per kernel time ``dual_cut_tree`` of the perturbed 10-by-10
+torus grid (weights 1..100 from ``random.Random(7)``, seed 7) and of the
+perturbed ``gen.planar_triangulation(170, 7)`` (seed 7).
 """
 
 import argparse
@@ -60,16 +61,19 @@ def main(argv=None):
         row.append(f" {speedup:>8.1f}x")
         print("".join(row))
 
-    torus = weights.perturb_graph(gen.torus_grid(10, seed=7), 7)
-    for name, kernel in KERNELS:
-        saved, cuttree._dinic = cuttree._dinic, kernel
-        try:
-            t0 = time.perf_counter()
-            cuttree.dual_cut_tree(torus)
-            print(f"dual_cut_tree torus10 ({name}): "
-                  f"{time.perf_counter() - t0:.3f} s")
-        finally:
-            cuttree._dinic = saved
+    graphs = [("torus10", gen.torus_grid(10, seed=7)),
+              ("planar170", gen.planar_triangulation(170, 7))]
+    for label, g in graphs:
+        g = weights.perturb_graph(g, 7)
+        for name, kernel in KERNELS:
+            saved, cuttree._dinic = cuttree._dinic, kernel
+            try:
+                t0 = time.perf_counter()
+                cuttree.dual_cut_tree(g)
+                print(f"dual_cut_tree {label} ({name}): "
+                      f"{time.perf_counter() - t0:.3f} s")
+            finally:
+                cuttree._dinic = saved
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 /* Dinic maximum flow on threaded arc arrays, the compiled kernel.
  *
  * search(n, first, to, cap, nxt, s, t) -> (value, level) is
- * _dinic_py.search in C: the same arc arrays, the same level search that
- * stops once it has labelled the sink, the same blocking-flow walk and the
- * same levels returned, so level[v] >= 0 exactly on the residual source
- * side.  The two files implement one algorithm and are edited together.
+ * _dinic_py.search in C: the same arc arrays, the same source exit once every
+ * arc leaving s is saturated, the same levels by residual distance to the
+ * sink, searched backwards from t until s is labelled, the same blocking-flow
+ * walk down those levels, and the same forward search from s in the last
+ * phase, so level[v] >= 0 exactly on the residual source side.  The two files
+ * implement one algorithm and are edited together.
  *
  * The arrays are read into C ints and int64 capacities; cap is not written
  * back.  A value that does not convert raises its own TypeError or
@@ -59,44 +61,71 @@ fail:
     return -1;
 }
 
-/* Dinic's algorithm from s to t; leaves the last level search in level and
- * returns the flow value.  queue and path hold n items each. */
+/* Dinic's algorithm from s to t; leaves the residual source side's levels in
+ * level and returns the flow value.  queue and path hold n items each. */
 static long long
 dinic(int n, const int *first, const int *to, long long *cap, const int *nxt,
       int s, int t, int *level, int *cur, int *queue, int *path)
 {
     long long total = 0;
     for (;;) {
-        /* level search, stopped once the sink is labelled */
+        /* source exit: every arc leaving s is saturated */
+        int a = first[s];
+        while (a != -1 && cap[a] <= 0)
+            a = nxt[a];
         for (int v = 0; v < n; v++)
             level[v] = -1;
-        level[s] = 0;
-        queue[0] = s;
-        int head = 0, tail = 1, found = 0;
-        while (head < tail && !found) {
-            int u = queue[head++];
-            int d = level[u] + 1;
-            for (int a = first[u]; a != -1; a = nxt[a]) {
-                int v = to[a];
-                if (level[v] < 0 && cap[a] > 0) {
-                    level[v] = d;
-                    if (v == t) {
-                        found = 1;
+        if (a == -1) {
+            level[s] = 0;
+            return total;
+        }
+        /* levels from the sink, stopped once the source is labelled: u gets
+         * v's level plus one when the arc from u to v, the reverse of an arc
+         * leaving v, has residual capacity */
+        level[t] = 0;
+        queue[0] = t;
+        int head = 0, tail = 1;
+        while (head < tail && level[s] < 0) {
+            int v = queue[head++];
+            int d = level[v] + 1;
+            for (a = first[v]; a != -1; a = nxt[a]) {
+                int u = to[a];
+                if (level[u] < 0 && cap[a ^ 1] > 0) {
+                    level[u] = d;
+                    if (u == s)
                         break;
-                    }
-                    queue[tail++] = v;
+                    queue[tail++] = u;
                 }
             }
         }
-        if (!found)
+        if (level[s] < 0) {
+            /* the sink is out of reach: label the residual source side */
+            for (int v = 0; v < n; v++)
+                level[v] = -1;
+            level[s] = 0;
+            queue[0] = s;
+            head = 0;
+            tail = 1;
+            while (head < tail) {
+                int u = queue[head++];
+                int d = level[u] + 1;
+                for (a = first[u]; a != -1; a = nxt[a]) {
+                    int v = to[a];
+                    if (level[v] < 0 && cap[a] > 0) {
+                        level[v] = d;
+                        queue[tail++] = v;
+                    }
+                }
+            }
             return total;
-        /* blocking flow: one depth-first walk along arcs one level up; cur
+        }
+        /* blocking flow: one depth-first walk along arcs one level down; cur
          * keeps each vertex's next arc to try, a dead end loses its level,
          * and after each augmentation the walk backs up to the tail of the
          * first arc it saturated */
         for (int v = 0; v < n; v++)
             cur[v] = first[v];
-        int depth = 0, u = s, want = 1;
+        int depth = 0, u = s, want = level[s] - 1;
         for (;;) {
             if (u == t) {
                 long long pushed = cap[path[0]];
@@ -106,30 +135,30 @@ dinic(int n, const int *first, const int *to, long long *cap, const int *nxt,
                 total += pushed;
                 int k = -1;
                 for (int i = 0; i < depth; i++) {
-                    int a = path[i];
+                    a = path[i];
                     cap[a] -= pushed;
                     cap[a ^ 1] += pushed;
                     if (k < 0 && cap[a] == 0)
                         k = i;
                 }
                 u = to[path[k] ^ 1];
-                want = k + 1;
+                want = level[u] - 1;
                 depth = k;
                 continue;
             }
-            int a = cur[u];
+            a = cur[u];
             while (a != -1 && !(cap[a] > 0 && level[to[a]] == want))
                 a = nxt[a];
             cur[u] = a;
             if (a != -1) {
                 path[depth++] = a;
                 u = to[a];
-                want++;
+                want--;
             }
             else if (depth > 0) {
                 level[u] = -1;
                 u = to[path[--depth] ^ 1];
-                want--;
+                want++;
             }
             else
                 break;

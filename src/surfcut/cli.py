@@ -49,7 +49,9 @@ def _read(path):
 
 
 def _write(path, text):
-    if path == "-":
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is
+    ``-`` or empty."""
+    if path in ("-", ""):
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -109,7 +111,7 @@ def cmd_query(args):
         out = _json_line(list(zip(xs, ys, ws)))
     else:
         out = "".join(map("%d %d %d\n".__mod__, zip(xs, ys, ws)))
-    _write(args.output or "-", out)
+    _write(args.output, out)
     return 0
 
 
@@ -155,7 +157,7 @@ def cmd_verify(args):
     else:
         out = "".join(f"{name}: {'pass' if ok else 'FAIL'}\n"
                       for name, ok in report)
-    _write(args.output or "-", out)
+    _write(args.output, out)
     return 0 if all(ok for _, ok in report) else 1
 
 

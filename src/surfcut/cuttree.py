@@ -210,8 +210,9 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     degree (the first one on a tie), and the group's side is the complement
     when it ran from the second.  Members are never contracted, so their
     degrees in a group's network are their degrees in the input.  Most
-    splits cut off one light face, so the flow's last level search labels
-    only that small side.  Where every minimum cut is unique, as under the
+    splits cut off one light face, so the flow ends once every arc leaving
+    that face is saturated, and the kernel labels the face alone without a
+    last search.  Where every minimum cut is unique, as under the
     weight perturbation, the tree does not depend on the direction; with
     tied cuts it may hold other (equally minimum) sides.
     """

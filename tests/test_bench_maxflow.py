@@ -18,4 +18,6 @@ def test_main_prints_a_row_and_a_torus_line_per_kernel(capsys):
     m = len(bench_maxflow.make_graph(50, 0))
     assert lines[2].split()[:2] == ["50", str(m)]
     assert [line.split(":")[0] for line in lines[3:]] == [
-        f"dual_cut_tree torus10 ({name})" for name, _ in bench_maxflow.KERNELS]
+        f"dual_cut_tree {label} ({name})"
+        for label in ("torus10", "planar170")
+        for name, _ in bench_maxflow.KERNELS]

@@ -262,6 +262,21 @@ class TestBuildQuery:
             assert (x, y) == (a, b)
             assert w == min_face_cut(g, a, b)[0]
 
+    @pytest.mark.parametrize("command", ["gen", "build", "query", "verify"])
+    def test_empty_output_path_writes_stdout(self, torus_file, tmp_path,
+                                             command):
+        tree_path = tmp_path / "tree.json"
+        assert run(["build", str(torus_file), "-o", str(tree_path)]) == 0
+        pairs_path = tmp_path / "pairs.txt"
+        pairs_path.write_text("0 1\n3 7\n")
+        argv = {"gen": ["gen", "torus"],
+                "build": ["build", str(torus_file)],
+                "query": ["query", str(tree_path), str(pairs_path)],
+                "verify": ["verify", str(torus_file)]}[command]
+        code, out, err = captured_run(argv + ["-o", ""])
+        assert (code, err) == (0, "") and out
+        assert (code, out, err) == captured_run(argv)
+
     def test_query_json_format(self, torus_file, tmp_path, capsys):
         tree_path = tmp_path / "tree.json"
         run(["build", str(torus_file), "-o", str(tree_path)])

@@ -78,6 +78,32 @@ class TestMaxFlow:
             value, level = kernel(n, *_dinic_py.arcs(n, edges), 0, n - 1)
             assert (value, residual_side(n, level)) == ref
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("n, edges, s, t", [
+        # every arc of the source has capacity 0: (0, {s}) with no search
+        (3, [(0, 1, 0), (0, 2, 0), (1, 2, 5)], 0, 2),
+        # a self-loop on the source never saturates, so the source exit
+        # does not fire and the last forward search finds {s}
+        (3, [(0, 0, 4), (0, 1, 2), (1, 2, 3)], 0, 2),
+        # the sink is out of reach
+        (4, [(0, 1, 3), (2, 3, 1)], 0, 3),
+        # the first phase saturates every arc of the source
+        (4, [(0, 1, 1), (0, 2, 1), (1, 3, 5), (2, 3, 5)], 0, 3),
+        # it saturates the source's first arc but not the arc to 2, so the
+        # exit must not fire: the source side is {0, 2}
+        (4, [(0, 2, 9), (2, 3, 1), (0, 1, 1), (1, 3, 1)], 0, 3),
+        # the least minimum cut's source side holds several vertices, and
+        # a tied cut lies past it: {0, 1, 2} and {0, 1, 2, 3} both weigh 2
+        (6, [(0, 1, 5), (0, 2, 5), (1, 3, 1), (2, 3, 1), (3, 4, 2),
+             (4, 5, 9)], 0, 5),
+    ], ids=["source-arcs-zero", "source-self-loop", "sink-unreachable",
+            "source-saturated", "one-source-arc-saturated",
+            "wide-source-side"])
+    def test_kernel_edge_cases(self, kernel, n, edges, s, t):
+        value, level = kernel(n, *_dinic_py.arcs(n, edges), s, t)
+        assert (value, residual_side(n, level)) == \
+            brute_force_min_cut(n, edges, s, t)
+
 
 def laminar(sides, universe):
     for i, a in enumerate(sides):
@@ -365,6 +391,23 @@ class TestArcArrays:
                 assert (value, residual_side(n, level)) == want
             # the last flow, max_flow_on_arcs, leaves ``cap`` as it was
             assert cap == caps
+
+    @settings(max_examples=300, deadline=None)
+    @given(loopy_multigraphs())
+    def test_search_leaves_a_feasible_flow(self, case):
+        n, edges, s, t = case
+        first, to, cap, nxt = _dinic_py.arcs(n, edges)
+        residual = cap[:]
+        value, _ = _dinic_py.search(n, first, to, residual, nxt, s, t)
+        flow = [c - r for c, r in zip(cap, residual)]
+        for a in range(0, len(flow), 2):
+            assert flow[a] == -flow[a + 1]
+        assert all(f <= c for f, c in zip(flow, cap))
+        out = [0] * n
+        for a, f in enumerate(flow):
+            out[to[a ^ 1]] += f
+        assert out[s] == value == -out[t]
+        assert all(out[v] == 0 for v in range(n) if v not in (s, t))
 
     @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
     @settings(max_examples=300, deadline=None)
