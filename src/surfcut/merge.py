@@ -1,12 +1,5 @@
 """Merge cut trees over a common vertex set into one minimum cut tree.
 
-Inputs whose minimum cuts pairwise nest are merged with Gusfield's
-Gomory-Hu algorithm ("Very simple methods for all pairs network flow
-analysis", SIAM J. Comput. 1990).  It needs one minimum s-t cut and its side
-for each of F-1 pairs, and here each is a lookup: the lightest cut any input
-holds on its s-to-t path, whose side is the leaf set under the witnessing
-node.
-
 Region trees here are rooted trees whose leaves are the host vertices;
 each internal edge carries the weight of the cut given by the leaves below
 it.  A member's cut tree already spans exactly the original faces, so its
@@ -14,9 +7,12 @@ region tree is the tree itself rooted at its least node, with one leaf hung
 under every node.  Members with equal tree edges hold equal cuts, so only
 the first of each edge set is cross-checked and merged.
 
-The cross-check reads no table of pair answers: a cut is minimum exactly
-when it splits a class of the partition that all lighter input cuts refine,
-so one pass over the cuts in weight order finds every minimum cut.
+One pass over the input cuts in weight order both checks and merges, and it
+reads no table of pair answers.  A cut is minimum exactly when it splits a
+class of the partition that all lighter input cuts refine.  The minimum cuts
+must not cross, and those that split a class when applied are the merged
+tree's F-1 sides, each owning one face: a tied cut is kept only if it still
+splits a class after the cuts before it in its weight group.
 """
 
 from __future__ import annotations
@@ -71,41 +67,6 @@ class LeafTree:
 
     def leaves_under(self, node):
         return self._shape[1][node]
-
-    def cuts(self):
-        """The tree's cuts as a frozenset of (leaf side, weight): equal for
-        trees that hold the same cuts."""
-        under = self._shape[1]
-        return frozenset((under[node], p[1]) for node, p in self.parent.items()
-                         if p is not None and p[1] is not None)
-
-    def _root_path(self, v):
-        path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]][0])
-        return path
-
-    def min_cut(self, a, b):
-        """Minimum internal edge weight on the leaf-to-leaf path, with the
-        child node of the witnessing edge; None if no weighted edge lies on
-        the path or a leaf is absent."""
-        if a not in self.parent or b not in self.parent:
-            return None
-        up_a = self._root_path(a)
-        in_a = set(up_a)
-        up_b = []
-        x = b
-        while x not in in_a:
-            up_b.append(x)
-            x = self.parent[x][0]
-        meet = x
-        best = None
-        for side in (up_a[:up_a.index(meet)], up_b):
-            for node in side:
-                w = self.parent[node][1]
-                if w is not None and (best is None or w < best[0]):
-                    best = (w, node)
-        return best
 
     def restrict(self, keep, other_label):
         """The region tree over ``keep`` plus one contracted leaf for the
@@ -195,7 +156,8 @@ def _split_classes(cls, size, side):
 
 
 def detect_crossing_minimum_cuts(leaf_trees, nodes):
-    """Raise CrossingCutsError if two inputs hold crossing minimum cuts.
+    """Raise CrossingCutsError if two inputs hold crossing minimum cuts;
+    otherwise return the merged tree's sides as ``{side: weight}``.
 
     A cut of an input is minimum when its weight equals the best answer over
     all inputs for some pair it separates.  That answer is the lightest input
@@ -206,31 +168,47 @@ def detect_crossing_minimum_cuts(leaf_trees, nodes):
     group is tested: a tied cut is minimum even when other cuts of its weight
     together separate everything it separates.
 
-    The minimum cuts, each side normalized to exclude ``min(nodes)``, must
-    form a laminar family: they are inserted largest first, and every element
-    of a new side must lie in the same smallest earlier side (or in none).
+    The sides returned are the cuts that split a class when they are applied,
+    each normalized to exclude ``min(nodes)``.  They are applied by weight,
+    then input index, then the order of the input's nodes.  The tie rule: a
+    tied cut is returned only if it still splits a class after the cuts
+    before it in its group, so of tied sides {1}, {2} and {1, 2} over nodes
+    {0, 1, 2}, in that order, only {1} and {2} are.  A returned cut splits
+    one class in two, or it would cross a lighter minimum cut.  So when every
+    pair is separated there are F-1 sides, and each holds one node that no
+    smaller side holds.
+
+    The minimum cuts, normalized the same way, must form a laminar family:
+    they are inserted largest first, and every element of a new side must lie
+    in the same smallest earlier side (or in none).
     """
     universe = frozenset(nodes)
     r0 = min(universe)
-    cuts = [(p[1], i, t._shape[1][node] & universe)
-            for i, t in enumerate(leaf_trees)
-            for node, p in t.parent.items()
-            if p is not None and p[1] is not None]
+    cuts = []
+    for i, t in enumerate(leaf_trees):
+        under = t._shape[1]
+        for node, p in t.parent.items():
+            if p is not None and p[1] is not None:
+                side = under[node] & universe
+                cuts.append((p[1], i, universe - side if r0 in side else side))
     cls = dict.fromkeys(universe, 0)
     size = [len(universe)]          # class id -> its node count
     minimum = set()
+    sides = {}
     by_weight = sorted(range(len(cuts)), key=lambda k: cuts[k][0])
-    for _, group in itertools.groupby(by_weight, key=lambda k: cuts[k][0]):
+    for w, group in itertools.groupby(by_weight, key=lambda k: cuts[k][0]):
         group = [k for k in group if _split_classes(cls, size, cuts[k][2])]
         minimum.update(group)
         for k in group:     # split only after the whole group is tested
-            for xs in _split_classes(cls, size, cuts[k][2]):
+            split = _split_classes(cls, size, cuts[k][2])
+            if split:
+                sides[cuts[k][2]] = w
+            for xs in split:
                 size[cls[xs[0]]] -= len(xs)
                 size.append(len(xs))
                 for x in xs:
                     cls[x] = len(size) - 1
-    candidates = [(i, universe - side if r0 in side else side)
-                  for k, (_, i, side) in enumerate(cuts) if k in minimum]
+    candidates = [cuts[k][1:] for k in sorted(minimum)]
     candidates.sort(key=lambda c: len(c[1]), reverse=True)
     owner = {}          # element -> index of the smallest side so far holding it
     for k, (i, side) in enumerate(candidates):
@@ -243,44 +221,38 @@ def detect_crossing_minimum_cuts(leaf_trees, nodes):
                 f"minimum cuts of input trees {i} and {j} cross")
         for x in side:
             owner[x] = k
+    return sides
 
 
-def merge_leaf_trees(leaf_trees, nodes) -> CutTree:
-    """Gusfield's Gomory-Hu algorithm over region trees.
+def merge_leaf_trees(sides, nodes) -> CutTree:
+    """The cut tree of the sides ``detect_crossing_minimum_cuts`` returns.
 
-    Every ``s`` after the first node, in sorted order, is cut from its
-    current tree neighbour ``p[s]`` by the lightest ``min_cut(s, p[s])`` over
-    the inputs (ties go to the first input), whose side is the witnessing
-    node's leaf set or its complement, whichever holds ``s``.  When every
-    input cut is a cut of one host graph and the lightest answer over the
-    inputs is the host's minimum cut for every pair, as for the projected
-    trees of a collection, the result is a Gomory-Hu tree of the host; it is
-    the only one when minimum cuts are unique.  Raises DisconnectedGraphError
-    when no input separates a pair.
+    The sides, ``{side: weight}``, form a laminar family over ``nodes`` with
+    no side holding ``min(nodes)``.  They are inserted largest first, so the
+    smallest side already holding any element of a new side is its parent.
+    Each side's own node, the one no smaller side holds, is joined under the
+    side's weight to its parent's own node, or to ``min(nodes)`` at the top.
+    Raises DisconnectedGraphError when two nodes share an owner, which is
+    when no input separates them.
     """
     nodes = sorted(nodes)
-    p = dict.fromkeys(nodes, nodes[0])
-    weight = {}
-    for s in nodes[1:]:
-        t = p[s]
-        best = None
-        for lt in leaf_trees:
-            res = lt.min_cut(s, t)
-            if res is not None and (best is None or res[0] < best[0]):
-                best = (res[0], lt, res[1])
-        if best is None:
-            raise DisconnectedGraphError(f"no input separates {s} from {t}")
-        weight[s], winner, node = best
-        under = winner.leaves_under(node)
-        s_under = s in under        # the side of s is under or its complement
-        for u in nodes:
-            if u != s and p[u] == t and (u in under) == s_under:
-                p[u] = s
-        if (p[t] in under) == s_under:
-            p[s], p[t] = p[t], s
-            weight[s], weight[t] = weight[t], weight[s]
+    order = sorted(sides, key=len, reverse=True)
+    up = []             # side index -> index of its parent side, or None
+    host = {}           # node -> index of the smallest side so far holding it
+    for k, side in enumerate(order):
+        up.append(host.get(next(iter(side))))
+        for v in side:
+            host[v] = k
+    own = {}            # side index (None for the top) -> its own node
+    for v in nodes:
+        k = host.get(v)
+        if k in own:
+            raise DisconnectedGraphError(
+                f"no input separates {own[k]} from {v}")
+        own[k] = v
     return CutTree(tuple(nodes), tuple(sorted(
-        (min(s, p[s]), max(s, p[s]), weight[s]) for s in nodes[1:])))
+        (min(own[k], own[u]), max(own[k], own[u]), sides[side])
+        for k, (side, u) in enumerate(zip(order, up)))))
 
 
 def merged_collection_tree(trees) -> CutTree:
@@ -298,5 +270,4 @@ def merged_collection_tree(trees) -> CutTree:
     for t in trees:     # every member is projected, as surfbench counts
         distinct.setdefault(frozenset(t.edges), project_member_tree(t))
     lts = list(distinct.values())
-    detect_crossing_minimum_cuts(lts, nodes)
-    return merge_leaf_trees(lts, nodes)
+    return merge_leaf_trees(detect_crossing_minimum_cuts(lts, nodes), nodes)

@@ -1,6 +1,6 @@
 """Reference implementations: brute-force cuts, exhaustive separating
-subgraphs, the cut-tree path scan, and the surface and homology tools that
-only tests use.
+subgraphs, the cut-tree and region-tree path scans, and the surface and
+homology tools that only tests use.
 
 The build path never calls into this module; tests check the build against
 it.
@@ -27,6 +27,7 @@ from .homology import (
     _tree_path,
     homology_basis,
 )
+from .merge import LeafTree
 from .reduction import AnnotatedPlanar, Collection
 
 
@@ -69,6 +70,38 @@ def path_min(t: CutTree, x, y):
                 seen.add(v)
                 stack.append((v, w if m is None else min(m, w)))
     raise KeyError(f"{y} not in tree")
+
+
+def region_cuts(lt: LeafTree):
+    """The cuts of region tree ``lt`` as a frozenset of (leaf side, weight):
+    equal for trees that hold the same cuts."""
+    return frozenset((lt.leaves_under(node), p[1])
+                     for node, p in lt.parent.items()
+                     if p is not None and p[1] is not None)
+
+
+def min_cut(lt: LeafTree, a, b):
+    """Minimum internal edge weight on the leaf-to-leaf path of region tree
+    ``lt``, with the child node of the witnessing edge; None if no weighted
+    edge lies on the path or a leaf is absent."""
+    if a not in lt.parent or b not in lt.parent:
+        return None
+    up_a = [a]
+    while lt.parent[up_a[-1]] is not None:
+        up_a.append(lt.parent[up_a[-1]][0])
+    in_a = set(up_a)
+    up_b = []
+    x = b
+    while x not in in_a:
+        up_b.append(x)
+        x = lt.parent[x][0]
+    best = None
+    for side in (up_a[:up_a.index(x)], up_b):
+        for node in side:
+            w = lt.parent[node][1]
+            if w is not None and (best is None or w < best[0]):
+                best = (w, node)
+    return best
 
 
 def collection_min_cut(collection: Collection, trees, a: int, b: int):

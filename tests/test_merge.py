@@ -4,7 +4,7 @@ import random
 import pytest
 
 from surfcut import gen, weights
-from surfcut.cuttree import CutTree, gomory_hu
+from surfcut.cuttree import CutTree, dual_cut_tree, gomory_hu
 from surfcut.errors import CrossingCutsError
 from surfcut.merge import (
     LeafTree,
@@ -13,7 +13,7 @@ from surfcut.merge import (
     merged_collection_tree,
     project_member_tree,
 )
-from surfcut.oracle import min_face_cut, path_min
+from surfcut.oracle import min_cut, min_face_cut, path_min
 from surfcut.reduction import member_trees, planar_collection
 
 
@@ -55,7 +55,7 @@ class TestRestrict:
         assert ra.leaves() == frozenset({3, 4, "beta"})
         cuts = tree_cuts(ra)
         assert list(cuts.values()) == [6]   # only the 3-vs-4 cut survives
-        assert ra.min_cut(3, 4)[0] == 6
+        assert min_cut(ra, 3, 4)[0] == 6
 
     def test_single_leaf_is_star(self):
         ra = self.lt.restrict({2}, "beta")
@@ -177,20 +177,47 @@ class TestMerge:
             merged_collection_tree([t1, t2])
 
     def test_crossing_check_asks_no_pair_queries(self, monkeypatch):
-        def no_query(self, a, b):
-            raise AssertionError("the crossing check queried a pair")
+        """The check and the merge read each tree's leaf sets once, in one
+        sweep: no per-node leaf lookup and no restriction."""
+        def no_lookup(self, *args):
+            raise AssertionError("the merge looked up a node's leaves")
 
-        monkeypatch.setattr(LeafTree, "min_cut", no_query)
+        monkeypatch.setattr(LeafTree, "leaves_under", no_lookup)
+        monkeypatch.setattr(LeafTree, "restrict", no_lookup)
         t1 = CutTree((0, 1, 2, 3), ((0, 1, 5), (1, 2, 1), (2, 3, 5)))
         t2 = CutTree((0, 1, 2, 3), ((0, 2, 5), (1, 2, 1), (1, 3, 5)))
         with pytest.raises(CrossingCutsError):
-            detect_crossing_minimum_cuts(
-                [region_tree(t1), region_tree(t2)], [0, 1, 2, 3])
+            merged_collection_tree([t1, t2])
         laminar = [random_perturbed_tree(12, 4)]
         laminar.append(laminar[0].with_weights(
             weights.perturb([3] * len(laminar[0].edges), 99)))
-        detect_crossing_minimum_cuts([region_tree(t) for t in laminar],
-                                     list(range(12)))
+        merged = merged_collection_tree(laminar)
+        for x, y in itertools.combinations(range(12), 2):
+            assert path_min(merged, x, y) == min(path_min(t, x, y)
+                                                 for t in laminar)
+
+    # Over faces {0, 1, 2}, every cut weighs 3, so each of the sides {1},
+    # {2} and {1, 2} splits the one class and is minimum.  The path holds
+    # {1, 2} (edge 0-2) and then {1}; the star holds {1} and {2}.
+    PATH = CutTree((0, 1, 2), ((0, 2, 3), (1, 2, 3)))
+    STAR = CutTree((0, 1, 2), ((0, 1, 3), (0, 2, 3)))
+
+    @pytest.mark.parametrize("trees, sides", [
+        ((PATH, STAR), {frozenset({1, 2}): 3, frozenset({1}): 3}),
+        ((STAR, PATH), {frozenset({1}): 3, frozenset({2}): 3}),
+    ], ids=["path-first", "star-first"])
+    def test_tied_sides_follow_input_order(self, trees, sides):
+        """The tree takes a tied cut only if it still splits a class after
+        the cuts before it, so the first input's two sides win and the
+        result is a Gomory-Hu tree with exactly two edges: the first
+        input itself."""
+        lts = [region_tree(t) for t in trees]
+        assert detect_crossing_minimum_cuts(lts, [0, 1, 2]) == sides
+        merged = merged_collection_tree(list(trees))
+        assert len(merged.edges) == 2
+        assert merged == trees[0]
+        for x, y in itertools.combinations(range(3), 2):
+            assert path_min(merged, x, y) == 3
 
 
 class TestCollectionMerge:
@@ -209,6 +236,22 @@ class TestCollectionMerge:
             assert weights.restore(path_min(merged, a, b), g.edge_count) == \
                 min_face_cut(g, a, b)[0]
 
+    @pytest.mark.parametrize("kind, seed", [("torus", 1), ("torus", 2),
+                                            ("handle", 1), ("handle", 2)])
+    def test_equals_direct_tree(self, kind, seed):
+        """On the benchmark's torus k=6 and handle k=2 shapes, the merged
+        tree is the direct tree of the perturbed graph, edge for edge, not
+        only a flow-equivalent tree."""
+        k = 6 if kind == "torus" else 2
+        rng = random.Random(seed)
+        ws = [rng.randint(10, 103) for _ in range(2 * k * k + 1)]
+        g = gen.torus_grid(k, weights=ws[:-1])
+        if kind == "handle":
+            g = gen.add_edge_between_faces(g, 0, k * k // 2, ws[-1])
+        pg = weights.perturb_graph(g, seed)
+        merged = merged_collection_tree(member_trees(planar_collection(pg)))
+        assert merged == dual_cut_tree(pg)
+
     def test_projection_drops_boundary_faces(self):
         g = gen.torus_grid(3)
         coll = planar_collection(weights.perturb_graph(g, seed=2))
@@ -224,8 +267,8 @@ class TestLeafTreeFromCuts:
         cuts = {frozenset({3}): 5, frozenset({2, 3}): 9,
                 frozenset({1}): 7}
         lt = leaf_tree_from_cuts([0, 1, 2, 3], cuts)
-        assert lt.min_cut(0, 3)[0] == 5
-        assert lt.min_cut(2, 3)[0] == 5
-        assert lt.min_cut(0, 2)[0] == 9
-        assert lt.min_cut(0, 1)[0] == 7
-        assert lt.min_cut(1, 2)[0] == 7
+        assert min_cut(lt, 0, 3)[0] == 5
+        assert min_cut(lt, 2, 3)[0] == 5
+        assert min_cut(lt, 0, 2)[0] == 9
+        assert min_cut(lt, 0, 1)[0] == 7
+        assert min_cut(lt, 1, 2)[0] == 7

@@ -1,8 +1,9 @@
 """Property tests for the region-tree merge: cached leaf sets, duplicate
-inputs, Gusfield's merge against the divide-and-conquer merge it replaced,
-the rooted projection against the bipartition projection it replaced, and
-the largest-first forms of region-tree construction and of the crossing
-check against the scans they replaced."""
+inputs, the merge from the crossing check's sides against Gusfield's merge
+and the divide-and-conquer merge it replaced, the rooted projection against
+the bipartition projection it replaced, and the largest-first forms of
+region-tree construction and of the crossing check against the scans they
+replaced."""
 
 import itertools
 from collections import Counter
@@ -29,7 +30,7 @@ from surfcut.merge import (  # noqa: E402
     merged_collection_tree,
     project_member_tree,
 )
-from surfcut.oracle import path_min  # noqa: E402
+from surfcut.oracle import min_cut, path_min, region_cuts  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -37,6 +38,13 @@ SETTINGS = settings(max_examples=150, deadline=None)
 def region_tree(t):
     """The region tree of a cut tree over its own nodes."""
     return project_member_tree(t)
+
+
+def merge(leaf_trees, nodes):
+    """The build's merge of region trees: the crossing check's sides, made
+    into a tree."""
+    return merge_leaf_trees(detect_crossing_minimum_cuts(leaf_trees, nodes),
+                            nodes)
 
 
 def restricted_region_tree(t, n):
@@ -110,7 +118,7 @@ def _all_pairs_query(trees, nodes):
     for x, y in itertools.combinations(nodes, 2):
         best = None
         for t in trees:
-            res = t.min_cut(x, y)
+            res = min_cut(t, x, y)
             if res is not None and (best is None or res[0] < best):
                 best = res[0]
         table[(x, y)] = best
@@ -190,6 +198,42 @@ def split_at(lt, node, down_label, up_label):
     return LeafTree(node, below), LeafTree(lt.root, above)
 
 
+def gusfield_merge_leaf_trees(leaf_trees, nodes):
+    """merge_leaf_trees as it was before it read the crossing check's sides:
+    Gusfield's Gomory-Hu algorithm over region trees ("Very simple methods
+    for all pairs network flow analysis", SIAM J. Comput. 1990).
+
+    Every ``s`` after the first node, in sorted order, is cut from its
+    current tree neighbour ``p[s]`` by the lightest ``min_cut(s, p[s])`` over
+    the inputs (ties go to the first input), whose side is the witnessing
+    node's leaf set or its complement, whichever holds ``s``.  Raises
+    DisconnectedGraphError when no input separates a pair.
+    """
+    nodes = sorted(nodes)
+    p = dict.fromkeys(nodes, nodes[0])
+    weight = {}
+    for s in nodes[1:]:
+        t = p[s]
+        best = None
+        for lt in leaf_trees:
+            res = min_cut(lt, s, t)
+            if res is not None and (best is None or res[0] < best[0]):
+                best = (res[0], lt, res[1])
+        if best is None:
+            raise DisconnectedGraphError(f"no input separates {s} from {t}")
+        weight[s], winner, node = best
+        under = winner.leaves_under(node)
+        s_under = s in under        # the side of s is under or its complement
+        for u in nodes:
+            if u != s and p[u] == t and (u in under) == s_under:
+                p[u] = s
+        if (p[t] in under) == s_under:
+            p[s], p[t] = p[t], s
+            weight[s], weight[t] = weight[t], weight[s]
+    return CutTree(tuple(nodes), tuple(sorted(
+        (min(s, p[s]), max(s, p[s]), weight[s]) for s in nodes[1:])))
+
+
 def dc_merge_leaf_trees(leaf_trees, nodes):
     """merge_leaf_trees as it was before Gusfield's algorithm: a
     divide-and-conquer that cuts the first unseparated pair of a group by the
@@ -210,7 +254,7 @@ def dc_merge_leaf_trees(leaf_trees, nodes):
         a, b = members[0], members[1]
         best = None
         for idx, rt in enumerate(rtrees):
-            res = rt.min_cut(a, b)
+            res = min_cut(rt, a, b)
             if res is not None and (best is None or res[0] < best[0]):
                 best = (res[0], idx, res[1])
         if best is None:
@@ -287,7 +331,7 @@ def is_gomory_hu_tree(tree, leaf_trees, nodes):
     holds at weight ``w``; path minimums then answer every pair."""
     table = _all_pairs_query(leaf_trees, nodes)
     universe = frozenset(nodes)
-    held = set().union(*(lt.cuts() for lt in leaf_trees))
+    held = set().union(*map(region_cuts, leaf_trees))
     for (u, v, w), part in zip(tree.edges, tree.bipartitions()):
         side = universe - part if nodes[0] in part else part
         if (side, w) not in held or table[(min(u, v), max(u, v))] != w:
@@ -359,10 +403,10 @@ def test_duplicate_inputs_merge_like_distinct(trees, data):
                 if all(set(t.edges) != set(u.edges) for u in trees[:i])]
     nodes = sorted(trees[0].nodes)
     want = merged_collection_tree(trees)
-    assert want == merge_leaf_trees([region_tree(t) for t in distinct], nodes)
+    assert want == merge([region_tree(t) for t in distinct], nodes)
     assert merged_collection_tree(dup) == want
     every = [region_tree(t) for t in dup]
-    assert merge_leaf_trees(every, nodes) == want
+    assert merge(every, nodes) == want
 
 
 def bipartition_projection(t):
@@ -384,7 +428,7 @@ def test_rooted_projection_matches_bipartitions(n, seed):
     t = gomory_hu(n, edges)
     lt = project_member_tree(t)
     want = bipartition_projection(t)
-    assert lt.cuts() == want.cuts()
+    assert region_cuts(lt) == region_cuts(want)
     assert shape(lt) == shape(want)
 
 
@@ -427,31 +471,39 @@ TWO_GOMORY_HU_TREES = [
           False))
 @given(merge_inputs())
 def test_gusfield_merge_matches_divide_and_conquer(inputs):
-    """On inputs that pass the crossing check, Gusfield's merge builds the
-    divide-and-conquer merge's tree when the inputs are perturbed.  Tied
-    inputs may have several Gomory-Hu trees, and the two merges can pick
-    different ones (``TWO_GOMORY_HU_TREES`` do), so there both must be
-    Gomory-Hu trees of the inputs."""
+    """On inputs that pass the crossing check, the tree of the check's sides
+    is both Gusfield's tree and the divide-and-conquer merge's tree when the
+    inputs are perturbed.  Tied inputs may have several Gomory-Hu trees, and
+    the merges can pick different ones (``TWO_GOMORY_HU_TREES`` make the two
+    oracles differ), so there all three must be Gomory-Hu trees of the
+    inputs."""
     lts, nodes, perturb = inputs
     try:
-        detect_crossing_minimum_cuts(lts, nodes)
+        sides = detect_crossing_minimum_cuts(lts, nodes)
     except CrossingCutsError:
         assume(False)
     try:
         want = dc_merge_leaf_trees(lts, nodes)
     except DisconnectedGraphError:
         with pytest.raises(DisconnectedGraphError):
-            merge_leaf_trees(lts, nodes)
+            gusfield_merge_leaf_trees(lts, nodes)
+        with pytest.raises(DisconnectedGraphError):
+            merge_leaf_trees(sides, nodes)
         return
-    got = merge_leaf_trees(lts, nodes)
-    hypothesis.event(f"perturbed={perturb}, same tree={got == want}")
+    gusfield = gusfield_merge_leaf_trees(lts, nodes)
+    got = merge_leaf_trees(sides, nodes)
+    hypothesis.event(f"perturbed={perturb}, same as divide-and-conquer="
+                     f"{got == want}, same as Gusfield={got == gusfield}")
     if perturb:
-        assert got == want
-    assert is_gomory_hu_tree(got, lts, nodes)
-    assert is_gomory_hu_tree(want, lts, nodes)
+        assert got == want == gusfield
+    for tree in (got, want, gusfield):
+        assert is_gomory_hu_tree(tree, lts, nodes)
 
 
 def test_unseparated_pair_raises():
     lt = leaf_tree_from_cuts([0, 1, 2], {frozenset({2}): 3})
-    with pytest.raises(DisconnectedGraphError, match="no input separates"):
-        merge_leaf_trees([lt], [0, 1, 2])
+    sides = detect_crossing_minimum_cuts([lt], [0, 1, 2])
+    assert sides == {frozenset({2}): 3}
+    with pytest.raises(DisconnectedGraphError,
+                       match="no input separates 0 from 1"):
+        merge_leaf_trees(sides, [0, 1, 2])
