@@ -2,6 +2,10 @@
 
 ``build`` writes only the cut tree and the seed; ``query`` rebuilds the
 range-minimum index from the stored tree and answers each pair line in O(1).
+``query`` answers the pairs text in blocks of whole lines, about
+``PAIRS_BLOCK`` characters each, so only one block's lines, tokens and
+integers are alive at a time; the answers are written once every block has
+passed, so a bad line still writes nothing.  Files are read as UTF-8.
 
 Global flags are ``--seed`` and ``--format``.  Exit codes: 0 success, 2
 input failure (a malformed graph or artifact, or a bad query pair line), 3
@@ -27,6 +31,7 @@ from .embed import dual, format_graph, parse_graph
 from .errors import (
     CrossingCutsError,
     GenusLimitError,
+    GraphFormatError,
     QueryInputError,
     SurfcutError,
     WorkerError,
@@ -40,22 +45,29 @@ EXIT_GENUS = 3
 EXIT_CROSSING = 4
 EXIT_WORKER = 5
 
-
-def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+PAIRS_BLOCK = 1 << 16     # characters of pairs text answered per bulk pass
 
 
-def _write(path, text):
-    """Write ``text`` to the file ``path``, or to stdout when ``path`` is
-    ``-`` or empty."""
+def _read(path, error):
+    """Text of the UTF-8 file ``path``, or of stdin when ``path`` is ``-``.
+    Text that does not decode raises ``error`` naming ``path``."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _write(path, *chunks):
+    """Write the ``chunks`` of text to the file ``path``, or to stdout when
+    ``path`` is ``-`` or empty."""
     if path in ("-", ""):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _json_line(payload):
@@ -78,7 +90,7 @@ def build_tree(g, seed: int):
 
 
 def cmd_build(args):
-    g = parse_graph(_read(args.input))
+    g = parse_graph(_read(args.input, GraphFormatError))
     tree = build_tree(g, args.seed)
     _write(args.output,
            _json_line({"tree": json.loads(tree.to_json()), "seed": args.seed}))
@@ -86,39 +98,64 @@ def cmd_build(args):
 
 
 def cmd_query(args):
-    payload = json.loads(_read(args.tree))
+    try:
+        payload = json.loads(_read(args.tree, QueryInputError))
+    except json.JSONDecodeError as exc:
+        raise QueryInputError(f"{args.tree}: artifact is not JSON ({exc})"
+                              ) from None
     if not isinstance(payload, dict) or "tree" not in payload:
         raise QueryInputError(f'{args.tree}: artifact has no "tree"')
     tree = CutTree.from_json(json.dumps(payload["tree"]))
     idx = build_index(tree)
-    text = _read(args.pairs)
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.partition("#")[0] for line in lines]
-    # Bulk passes over all pairs; any failure walks the lines for the first
-    # bad one.  ``min_cut_query`` is looked up here, at call time, so a
-    # wrapper installed on this module sees every answer.
-    try:
-        if not set(map(len, map(str.split, lines))) <= {0, 2}:
-            raise ValueError("a pairs line does not hold two tokens")
-        nums = list(map(int, " ".join(lines).split()))
-        xs, ys = nums[0::2], nums[1::2]
-        ws = list(map(min_cut_query, repeat(idx), xs, ys))
-    except (ValueError, KeyError):
-        _raise_first_bad_line(args.pairs, lines, idx)
-        raise
+    out, first = [], 1
+    for block in _line_blocks(_read(args.pairs, QueryInputError)):
+        lines = block.splitlines()
+        if "#" in block:
+            lines = [line.partition("#")[0] for line in lines]
+        # Bulk passes over the block's pairs; any failure walks its lines for
+        # the first bad one.  ``min_cut_query`` is looked up here, at call
+        # time, so a wrapper installed on this module sees every answer.
+        try:
+            if not set(map(len, map(str.split, lines))) <= {0, 2}:
+                raise ValueError("a pairs line does not hold two tokens")
+            nums = list(map(int, " ".join(lines).split()))
+            xs, ys = nums[0::2], nums[1::2]
+            ws = list(map(min_cut_query, repeat(idx), xs, ys))
+        except (ValueError, KeyError):
+            _raise_first_bad_line(args.pairs, lines, idx, first)
+            raise
+        first += len(lines)
+        if args.format == "text":
+            out.append("".join(map("%d %d %d\n".__mod__, zip(xs, ys, ws))))
+        elif xs:
+            # Node ids and weights are exact ints, so "%d" spells them as
+            # ``json.dumps`` does.
+            out += (",", ",".join(map("[%d,%d,%d]".__mod__, zip(xs, ys, ws))))
     if args.format == "json":
-        out = _json_line(list(zip(xs, ys, ws)))
-    else:
-        out = "".join(map("%d %d %d\n".__mod__, zip(xs, ys, ws)))
-    _write(args.output, out)
+        # One JSON list over all blocks: "[" replaces the leading ",".
+        out[:1] = ["["]
+        out.append("]\n")
+    _write(args.output, *out)
     return 0
 
 
-def _raise_first_bad_line(name, lines, idx):
+def _line_blocks(text):
+    r"""``text`` cut into blocks of about ``PAIRS_BLOCK`` characters, each
+    ending just after a ``"\n"`` or at the end of the text.  A cut there is
+    always a ``str.splitlines`` line end, so the blocks' lines are the
+    text's lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + PAIRS_BLOCK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _raise_first_bad_line(name, lines, idx, first):
     """Raise the QueryInputError of the first line, in file order, that is
-    not two integers naming distinct faces of the cut tree."""
-    for lineno, line in enumerate(lines, 1):
+    not two integers naming distinct faces of the cut tree; ``lines[0]`` is
+    line ``first`` of the file."""
+    for lineno, line in enumerate(lines, first):
         line = line.strip()
         if not line:
             continue
@@ -138,7 +175,7 @@ def _raise_first_bad_line(name, lines, idx):
 
 
 def cmd_verify(args):
-    g = parse_graph(_read(args.input))
+    g = parse_graph(_read(args.input, GraphFormatError))
     report = []
 
     def check(name, ok):

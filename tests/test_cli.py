@@ -3,6 +3,9 @@ import io
 import itertools
 import json
 import os
+import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,11 @@ from surfcut.query import build_index, min_cut_query
 
 def run(argv):
     return cli.main(argv)
+
+
+def write(path, data):
+    """Write ``data`` to ``path``: bytes as they are, text as UTF-8."""
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
 
 
 def reference_query(tree_path, pairs_path, fmt):
@@ -111,15 +119,18 @@ class TestExitCodes:
         "X 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",       # wrong vertex keyword
         "V 2 9\nE 1\n0 0 1 1\nR 0 0\nR 1 1\n",     # extra header token
         "V 2\nE -1\nR 0\nR 1\n",                   # negative edge count
+        b"V 2\nE 1\n0 0 1 1\nR 0 0\nR 1 1 \xff\n",  # not UTF-8
     ])
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_degenerate_graph(self, tmp_path, capsys, text, command):
         bad = tmp_path / "bad.graph"
-        bad.write_text(text)
+        write(bad, text)
         assert run([command, str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if isinstance(text, bytes):
+            assert err.startswith(f"error: {bad}: not UTF-8 text (")
 
     def test_gen_empty_cycle_rejected(self, tmp_path, capsys):
         path = tmp_path / "c0.graph"
@@ -152,13 +163,14 @@ class TestExitCodes:
         ("0 1\n\n0 x\n", "line 3: expected '<x> <y>', got '0 x'"),
         ("0 1 2\n", "line 1: expected '<x> <y>'"),
         ("3 3\n", "line 1: query endpoints must differ"),
+        (b"0 1\n\xff 2\n", "pairs.txt: not UTF-8 text ('utf-8' codec"),
     ])
     def test_bad_query_input(self, torus_file, tmp_path, capsys, pairs,
                              message):
         tree_path = tmp_path / "tree.json"
         assert run(["build", str(torus_file), "-o", str(tree_path)]) == 0
         pairs_path = tmp_path / "pairs.txt"
-        pairs_path.write_text(pairs)
+        write(pairs_path, pairs)
         assert run(["query", str(tree_path), str(pairs_path)]) == 2
         err = capsys.readouterr().err
         assert message in err
@@ -176,10 +188,13 @@ class TestExitCodes:
         ('{"tree": {"nodes": [0, 1], "edges": [[0, 1, 1]],'
          ' "host_checksum": [1, 2]}}',
          'cut tree "host_checksum" [1, 2] is not a string'),
+        ("", "tree.json: artifact is not JSON (Expecting value: line 1"),
+        ('{"tree": ', "tree.json: artifact is not JSON ("),
+        (b'{"tree": "\xff"}', "tree.json: not UTF-8 text ('utf-8' codec"),
     ])
     def test_malformed_artifact(self, tmp_path, capsys, artifact, message):
         tree_path = tmp_path / "tree.json"
-        tree_path.write_text(artifact)
+        write(tree_path, artifact)
         pairs_path = tmp_path / "pairs.txt"
         pairs_path.write_text("0 1\n")
         assert run(["query", str(tree_path), str(pairs_path)]) == 2
@@ -480,9 +495,32 @@ class TestPairsGrammar:
     @settings(max_examples=300, deadline=None)
     @given(text=pairs_files())
     def test_matches_line_by_line_reference(self, torus_tree, text):
+        """Also at block sizes 1 and 3, so block edges fall between and
+        inside lines of every kind, around comment lines, and before bad
+        lines whose numbers count across blocks."""
         pairs_path = torus_tree.parent / "pairs.txt"
         pairs_path.write_bytes(text.encode())
-        for fmt in ("text", "json"):
-            assert captured_run(["--format", fmt, "query", str(torus_tree),
-                                 str(pairs_path)]) == \
-                reference_query(torus_tree, pairs_path, fmt)
+        for block in (1, 3, cli.PAIRS_BLOCK):
+            for fmt in ("text", "json"):
+                with mock.patch.object(cli, "PAIRS_BLOCK", block):
+                    got = captured_run(["--format", fmt, "query",
+                                        str(torus_tree), str(pairs_path)])
+                assert got == reference_query(torus_tree, pairs_path, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_query_memory_is_bounded(self, torus_tree, tmp_path, fmt):
+        """200,000 pairs stay under 10 MB of Python allocations: answering
+        the whole file in one pass took 34 MB (text) and 38 MB (json)."""
+        rng = random.Random(28)
+        pairs_path = tmp_path / "pairs.txt"
+        pairs_path.write_text("".join(
+            "%d %d\n" % tuple(rng.sample(range(9), 2))
+            for _ in range(200_000)))
+        tracemalloc.start()
+        try:
+            assert run(["--format", fmt, "query", str(torus_tree),
+                        str(pairs_path), "-o", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
