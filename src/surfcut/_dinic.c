@@ -12,9 +12,11 @@
  * back.  A value that does not convert raises its own TypeError or
  * OverflowError.  ValueError is raised when s == t, when a vertex, an arc or
  * an array length is out of range, or when the arc lists overlap or loop.
- * Positive capacities must sum below 2**63 (else OverflowError): a residual
+ * Positive capacities must sum below 2**63, else OverflowError: a residual
  * capacity is at most the sum of an arc's and its reverse's, and the flow at
- * most the sum of all, so no int64 sum can overflow.
+ * most the sum of all, so no int64 sum can overflow.  That OverflowError is
+ * the only 64-bit guard: cuttree.max_flow_on_arcs hands such a network to
+ * _dinic_py on it, and checks no capacities of its own.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

@@ -184,9 +184,8 @@ def cmd_verify(args):
     tree = build_tree(g, args.seed)
     faces = sorted(g.ordinary_faces())
     check("tree-spans-ordinary-faces", sorted(tree.nodes) == faces)
-    d = dual(g)
     check("tree-weights-and-pairs",
-          not validate_cut_tree(tree, d.vertex_count, list(d.edges)))
+          not validate_cut_tree(tree, g.face_count, dual(g)))
     again = build_tree(g, args.seed)
     check("deterministic-rebuild", again == tree)
     if args.format == "json":

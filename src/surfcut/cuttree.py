@@ -1,12 +1,14 @@
 """Exact max-flow, Gomory-Hu cut trees and the dual cut tree of a planar graph.
 
 Graphs here are plain weighted edge lists over integer vertex ids; the
-embedded structure is only needed upstream.  The max-flow kernel is
+embedded structure is only needed upstream, and ``dual_cut_tree`` reads the
+dual's edge list from ``embed.dual``.  The max-flow kernel is
 ``search(n, first, to, cap, nxt, s, t)`` on Dinic arc arrays (see
 ``_dinic_py``): the compiled extension ``_dinic`` when it is built, else the
 pure Python ``_dinic_py`` (``SURFCUT_PURE=1`` forces the latter).
-Capacities too large for the compiled kernel's 64-bit arithmetic go to the
-pure one as well.  ``max_flow_on_arcs`` is the one entry to either kernel:
+A network whose capacities sum past the compiled kernel's 64-bit range goes
+to the pure one as well, on that kernel's own OverflowError.
+``max_flow_on_arcs`` is the one entry to either kernel:
 ``max_flow_min_cut`` writes an edge list's arrays and calls it, and each
 Gomory-Hu step calls it on its group's arrays.
 """
@@ -50,20 +52,15 @@ def max_flow_min_cut(n, edges, s, t):
 def max_flow_on_arcs(n, first, to, cap, nxt, s, t):
     """Max s-t flow on a network in the kernel's arc arrays (see
     ``_dinic_py``): ``(value, level)`` with ``level[v] >= 0`` exactly for the
-    residual source side.  ``cap`` is left as it was."""
-    if _fits_compiled(cap):
-        return _dinic.search(n, first, to, cap, nxt, s, t)
+    residual source side.  ``cap`` is left as it was.  The compiled kernel
+    raises OverflowError when the capacities sum past its 64-bit range, and
+    the pure kernel then takes the network."""
+    if _dinic is not _dinic_py:
+        try:
+            return _dinic.search(n, first, to, cap, nxt, s, t)
+        except OverflowError:
+            pass
     return _dinic_py.search(n, first, to, cap[:], nxt, s, t)
-
-
-def _fits_compiled(cap):
-    """Whether the compiled kernel is loaded and safe for the arc capacities
-    ``cap``, which hold every edge's capacity twice, once per direction.
-    That kernel holds capacities in signed 64-bit ints; a residual capacity
-    is at most twice an edge's and the flow at most the total, so twice the
-    total must stay below 2**63.  The kernel is checked first, so the pure
-    kernel never sums."""
-    return _dinic is not _dinic_py and sum(cap) < 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -301,11 +298,11 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
 
 
 def dual_cut_tree(g: EmbeddedGraph) -> CutTree:
-    """Cut tree over the ordinary faces of ``g``: Gomory-Hu on the dual graph
-    with those faces as terminals.  Boundary faces only carry flow, so a
-    graph with F ordinary faces costs F-1 max-flows."""
-    d = dual(g)
-    return gomory_hu(d.vertex_count, d.edges, terminals=g.ordinary_faces())
+    """Cut tree over the ordinary faces of ``g``: Gomory-Hu on the dual's
+    edge list (``embed.dual``, cached on ``g``) with those faces as
+    terminals.  Boundary faces only carry flow, so a graph with F ordinary
+    faces costs F-1 max-flows."""
+    return gomory_hu(g.face_count, dual(g), terminals=g.ordinary_faces())
 
 
 def validate_cut_tree(t: CutTree, n, edges):

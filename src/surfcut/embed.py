@@ -2,9 +2,9 @@
 
 A graph is stored with an explicit combinatorial map: every edge ``e`` has two
 darts ``2*e`` (at its u-endpoint) and ``2*e + 1`` (at its v-endpoint), and each
-vertex carries a clockwise cyclic order of its darts.  Faces, the dual graph,
-the genus and surface surgery (cutting along cycles and paths) are all derived
-from this data.  Weights are exact integers throughout.
+vertex carries a clockwise cyclic order of its darts.  Faces, the dual's edge
+list, the genus and surface surgery (cutting along cycles and paths) are all
+derived from this data.  Weights are exact integers throughout.
 """
 
 from __future__ import annotations
@@ -180,16 +180,15 @@ def _face_orbits(rotations):
     return tuple(faces)
 
 
-def dual(g: EmbeddedGraph) -> EmbeddedGraph:
-    """Dual map: one vertex per face, equal edge ids and weights."""
-    faces = g.faces()
-    rotations = []
-    for cycle in faces:
-        rotations.append(tuple(2 * edge_of(d) + side_of(d) for d in cycle))
-    edges = []
-    for e, (_, _, w) in enumerate(g.edges):
-        edges.append((g.face_of(2 * e), g.face_of(2 * e + 1), w))
-    return EmbeddedGraph(len(faces), tuple(edges), tuple(rotations))
+def dual(g: EmbeddedGraph) -> tuple:
+    """The dual's edge list, cached: ``(face_of(2e), face_of(2e + 1), w)``
+    for every edge e, in edge order, over g's face ids 0..face_count-1."""
+    cached = getattr(g, "_dual", None)
+    if cached is None:
+        cached = tuple((g.face_of(2 * e), g.face_of(2 * e + 1), w)
+                       for e, (_, _, w) in enumerate(g.edges))
+        object.__setattr__(g, "_dual", cached)
+    return cached
 
 
 # ---------------------------------------------------------------------------

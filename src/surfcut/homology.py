@@ -34,10 +34,10 @@ class HomologyBasis:
         return len(self.leftover) // 2
 
 
-def _adjacency(g, allowed):
-    adj = [[] for _ in range(g.vertex_count)]
+def _adjacency(n, edges, allowed):
+    adj = [[] for _ in range(n)]
     for e in sorted(allowed):
-        u, v, _ = g.edges[e]
+        u, v, _ = edges[e]
         adj[u].append((v, e))
         adj[v].append((u, e))
     return adj
@@ -65,11 +65,11 @@ def _tree_path(parent, root, v):
 
 def homology_basis(g: EmbeddedGraph) -> HomologyBasis:
     d = dual(g)
-    adj = _adjacency(g, range(g.edge_count))
+    adj = _adjacency(g.vertex_count, g.edges, range(g.edge_count))
     parent = _tree_parents(adj, 0)
     tree = frozenset(e for p in parent.values() if p for _, e in [p])
-    dual_parent = _tree_parents(
-        _adjacency(d, (e for e in range(g.edge_count) if e not in tree)), 0)
+    dual_parent = _tree_parents(_adjacency(
+        g.face_count, d, (e for e in range(g.edge_count) if e not in tree)), 0)
     cotree = frozenset(e for p in dual_parent.values() if p for _, e in [p])
     leftover = tuple(e for e in range(g.edge_count)
                      if e not in tree and e not in cotree)
@@ -80,7 +80,7 @@ def homology_basis(g: EmbeddedGraph) -> HomologyBasis:
         pu = set(_tree_path(parent, 0, u))
         pv = set(_tree_path(parent, 0, v))
         primal_cycles.append(frozenset({x} | (pu ^ pv)))
-        fu, fv, _ = d.edges[x]
+        fu, fv, _ = d[x]
         qu = set(_tree_path(dual_parent, 0, fu))
         qv = set(_tree_path(dual_parent, 0, fv))
         dual_cycles.append(frozenset({x} | (qu ^ qv)))

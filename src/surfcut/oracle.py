@@ -145,8 +145,9 @@ def lifted_witness(member: AnnotatedPlanar, a: int, b: int):
 def dual_path(basis: HomologyBasis, a: int, b: int) -> frozenset:
     """Fixed a-to-b path between faces, through the basis's dual spanning
     tree."""
+    g = basis.graph
     parent = _tree_parents(
-        _adjacency(dual(basis.graph), basis.cotree_edges), a)
+        _adjacency(g.face_count, dual(g), basis.cotree_edges), a)
     return frozenset(_tree_path(parent, a, b))
 
 
@@ -244,9 +245,7 @@ def min_separating_subgraph_exhaustive(g: EmbeddedGraph, a: int, b: int):
 
 def min_face_cut(g: EmbeddedGraph, a: int, b: int):
     """Min cut between two faces of g, computed as max-flow in the dual."""
-    d = dual(g)
-    return max_flow_min_cut(d.vertex_count,
-                            [(u, v, w) for u, v, w in d.edges], a, b)
+    return max_flow_min_cut(g.face_count, dual(g), a, b)
 
 
 def is_simple_cycle(x, g: EmbeddedGraph) -> bool:
@@ -282,10 +281,9 @@ def is_simple_cycle(x, g: EmbeddedGraph) -> bool:
 
 def separates_faces(x, g: EmbeddedGraph, a: int, b: int) -> bool:
     """True if removing the duals of x disconnects face a from face b."""
-    d = dual(g)
     x = frozenset(x)
-    adj = [[] for _ in range(d.vertex_count)]
-    for e, (u, v, _) in enumerate(d.edges):
+    adj = [[] for _ in range(g.face_count)]
+    for e, (u, v, _) in enumerate(dual(g)):
         if e not in x:
             adj[u].append(v)
             adj[v].append(u)

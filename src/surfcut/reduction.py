@@ -107,12 +107,13 @@ def _cut_cycle(g, walk):
 
 
 def labelled_dual(h: EmbeddedGraph, edge_map, face_map, split=None):
-    """``h``'s dual edges ``(x, y, w, e)`` in edge id order: ordinary faces
-    under ``face_map``'s original ids, boundary faces in id order from
-    ``len(face_map)``, ``e`` from ``edge_map``.  With ``split = (b1, b2, path)``, the dual after
-    cutting along ``path`` (edge ids) from boundary face b1 to b2, without
-    the surgery: the cut merges b1 and b2 into one face B and turns each path
-    edge (x, y) into two copies, (x, B) and (B, y)."""
+    """``dual(h)`` relabelled, as ``(x, y, w, e)`` in edge id order:
+    ordinary faces under ``face_map``'s original ids, boundary faces in id
+    order from ``len(face_map)``, ``e`` from ``edge_map``.  With ``split =
+    (b1, b2, path)``, the dual after cutting along ``path`` (edge ids) from
+    boundary face b1 to b2, without the surgery: the cut merges b1 and b2
+    into one face B and turns each path edge (x, y) into two copies, (x, B)
+    and (B, y)."""
     b1, b2, path = split or (None, None, ())
     label = dict(face_map)
     boundary = sorted(h.boundary_faces - {b2})
@@ -120,9 +121,8 @@ def labelled_dual(h: EmbeddedGraph, edge_map, face_map, split=None):
     if split:
         label[b2] = b = label[b1]
     out = []
-    for i, (_, _, w) in enumerate(h.edges):
-        x, y = label[h.face_of(2 * i)], label[h.face_of(2 * i + 1)]
-        e = edge_map[i]
+    for i, (x, y, w) in enumerate(dual(h)):
+        x, y, e = label[x], label[y], edge_map[i]
         out += [(x, b, w, e), (b, y, w, e)] if i in path else [(x, y, w, e)]
     return tuple(out)
 
@@ -133,7 +133,7 @@ def answer_bound(g: EmbeddedGraph):
     self-loops, since lambda(a, b) <= min(deg a, deg b).  Infinite with fewer
     than two ordinary faces."""
     deg = dict.fromkeys(g.ordinary_faces(), 0)
-    for fu, fv, w in dual(g).edges:
+    for fu, fv, w in dual(g):
         if fu != fv:
             for f in (fu, fv):
                 if f in deg:

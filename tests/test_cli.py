@@ -321,8 +321,7 @@ class TestBuildQuery:
                     "-o", str(graph_path)]) == 0
         g = parse_graph(graph_path.read_text())
         tree = cli.build_tree(g, 1)
-        d = dual(g)
-        assert validate_cut_tree(tree, d.vertex_count, list(d.edges)) == []
+        assert validate_cut_tree(tree, g.face_count, list(dual(g))) == []
 
     def test_artifact_holds_only_tree_and_seed(self, torus_file, tmp_path):
         tree_path = tmp_path / "tree.json"
@@ -390,10 +389,9 @@ class TestBuildQuery:
         payload = json.loads(tree_path.read_text())
         tree = CutTree.from_json(json.dumps(payload["tree"]))
 
-        d = dual(g)
         dg = nx.Graph()
-        dg.add_nodes_from(range(d.vertex_count))
-        for u, v, w in d.edges:
+        dg.add_nodes_from(range(g.face_count))
+        for u, v, w in dual(g):
             if u != v:
                 cap = dg.get_edge_data(u, v, {"capacity": 0})["capacity"]
                 dg.add_edge(u, v, capacity=cap + w)

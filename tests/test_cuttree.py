@@ -349,15 +349,15 @@ class TestGomoryHuAtSize:
         g = gen.planar_triangulation(k, seed, max_weight=2)
         for h in (g, weights.perturb_graph(g, seed)):
             d = dual(h)
-            assert gomory_hu(d.vertex_count, d.edges) == \
-                rebuilt_gomory_hu(d.vertex_count, d.edges)
+            assert gomory_hu(h.face_count, d) == \
+                rebuilt_gomory_hu(h.face_count, d)
 
     def test_input_edges_are_read_a_fixed_number_of_times(self):
         passes = []
         for k in (20, 50):
-            d = dual(gen.planar_triangulation(k, 0, max_weight=2))
-            edges = CountedList(d.edges)
-            gomory_hu(d.vertex_count, edges)
+            g = gen.planar_triangulation(k, 0, max_weight=2)
+            edges = CountedList(dual(g))
+            gomory_hu(g.face_count, edges)
             passes.append(edges.passes)
         assert passes[0] == passes[1]
 
@@ -428,8 +428,28 @@ class TestArcArrays:
     def test_compiled_search_rejects(self):
         with pytest.raises(OverflowError):
             _dinic.search(2, *_dinic_py.arcs(2, [(0, 1, 2 ** 63)]), 0, 1)
+        # each capacity fits in int64, but not their sum
+        with pytest.raises(OverflowError):
+            _dinic.search(2, *_dinic_py.arcs(2, [(0, 1, 2 ** 62)]), 0, 1)
         with pytest.raises(ValueError):
             _dinic.search(2, *_dinic_py.arcs(2, [(0, 1, 1)]), 0, 0)
+
+    def test_capacities_past_int64_go_to_the_pure_kernel(self, monkeypatch):
+        """The compiled kernel's OverflowError hands the network to the pure
+        one.  Without the compiled kernel loaded, a stand-in raises it."""
+        if cuttree._dinic is _dinic_py:
+            class Overflowing:
+                @staticmethod
+                def search(*args):
+                    raise OverflowError("capacities sum past the int64 range")
+            monkeypatch.setattr(cuttree, "_dinic", Overflowing)
+        edges = [(0, 1, 2 ** 62), (1, 2, 2 ** 62 + 1), (0, 2, 3)]
+        first, to, cap, nxt = _dinic_py.arcs(3, edges)
+        caps = cap[:]
+        want = _dinic_py.search(3, first, to, caps[:], nxt, 0, 2)
+        value, level = cuttree.max_flow_on_arcs(3, first, to, cap, nxt, 0, 2)
+        assert (value, level) == want == (2 ** 62 + 3, [0, -1, -1])
+        assert cap == caps
 
     @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
     @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from surfcut import cuttree, gen, reduction, weights
 from surfcut.embed import (
     EmbeddedGraph,
     cut_along_curves,
+    dual,
     edge_of,
     side_of,
 )
@@ -69,6 +70,12 @@ class TestPlanarCollection:
         assert coll.face_count == g.face_count
         assert m.dual == tuple((g.face_of(2 * e), g.face_of(2 * e + 1), w, e)
                                for e, (_, _, w) in enumerate(g.edges))
+        # with no split and identity maps, labelled_dual is the dual plus
+        # the edge ids, on a surface of positive genus too
+        for h in (g, gen.torus_grid(3, seed=5)):
+            same = {f: f for f in range(h.face_count)}
+            assert reduction.labelled_dual(h, range(h.edge_count), same) == \
+                tuple((x, y, w, e) for e, (x, y, w) in enumerate(dual(h)))
 
     def test_genus_one_twenty_slots(self):
         coll = planar_collection(gen.torus_grid(3))
