@@ -77,8 +77,9 @@ def _json_line(payload):
 def build_tree(g, seed: int):
     """Cut tree over the ordinary faces of ``g``: weight-perturbed pipeline,
     de-perturbed exact weights and the input's checksum on the result."""
+    genus = g.genus             # traces the faces, which the copy shares
     pg = weights.perturb_graph(g, seed)
-    if g.genus == 0:
+    if genus == 0:
         tree = dual_cut_tree(pg)
     else:
         coll = planar_collection(pg)

@@ -186,15 +186,24 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     for the subtree across that edge.  When the cut takes one terminal off
     alone, as most cuts do, that terminal's position becomes the new tree
     edge's super-vertex and the rest keeps the network as it is.  Any other
-    cut partitions the network in one pass over it: each side keeps the
-    edges with both ends on it and sees the other side as one new
-    super-vertex, keyed by the new tree edge, that takes the cut edges
-    summed per endpoint.  The super-vertices on the new group's side take
-    their tree edges along, re-pointed to it; the networks across those
-    edges stand for the same vertices as before and do not change.  A group
-    left with one terminal keeps no network.  So a step costs time in its
-    own network only: the input edges are read once, before the first step,
-    and no step visits another group's network.
+    cut is paid for by its smaller side, counted in live positions.  That
+    side becomes the new group: it gets arc arrays of its own, with the
+    other side as one super-vertex keyed by the new tree edge that takes the
+    cut edges summed per endpoint, and only its own super-vertices' tree
+    edges are re-pointed to it.  The larger side keeps the group and its
+    arrays, and the smaller side is contracted in place into one new
+    position: the arcs between the two sides are re-threaded onto it, and
+    the old positions stay behind, dead, with no arcs.  Once a network's
+    dead positions would outnumber its live ones, the larger side is
+    written out afresh instead, so both kernels' per-call cost stays in
+    proportion to the live network.  A position is copied only when it
+    lands on a smaller side, or in a rewrite that the dead positions before
+    it pay for; so all partitions together cost O((n+m) log n), not O(n+m)
+    each.  The networks across the re-pointed edges stand for the same
+    vertices as before and do not change, and a group left with one
+    terminal keeps no network.  So a step costs time in its own network
+    only: the input edges are read once, before the first step, and no step
+    visits another group's network.
 
     The total capacity between every two positions is that of the
     contraction of the input, so the cut is too: the side is the set of
@@ -220,13 +229,21 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
             degree[u] += w
             degree[v] += w
             net.append((u, v, w))
-    terms = [sorted(set(range(n) if terminals is None else terminals))]
-    # group -> None once it holds one terminal, else its network: the tree
-    # edge at every position (-1 at a member) and the arc arrays
-    nets = [([-1] * n, *_dinic_py.arcs(n, net)) if len(terms[0]) > 1
+    # group -> its terminals, largest first; a terminal that left the group
+    # stays in the list until it comes last
+    terms = [sorted(set(range(n) if terminals is None else terminals),
+                    reverse=True)]
+    owner = [-1] * n            # terminal -> its group
+    for x in terms[0]:
+        owner[x] = 0
+    count = [len(terms[0])]     # group -> its number of terminals
+    # group -> None once it holds one terminal, else its network: at every
+    # position its vertex, ~e for the super-vertex of tree edge e or None
+    # once dead, then the arc arrays and the number of live positions
+    nets = [(list(range(n)), *_dinic_py.arcs(n, net), n) if count[0] > 1
             else None]
     order = [0]                 # the queue, finished groups left in place
-    where = list(range(n))      # terminal -> its position in its group
+    where = list(range(n))      # member -> its position in its group
     tree = []                   # tree edge -> (group, group, weight)
     i = 0
     while True:
@@ -235,66 +252,115 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
             i += 1
         if i == len(order):
             break
-        g, b = order[i], len(terms)     # the group to split, the new one
-        edge_at, first, to, cap, nxt = nets[g]
+        g, b, e = order[i], len(terms), len(tree)  # the new group and edge
+        at, first, to, cap, nxt, live = nets[g]
         ts = terms[g]
-        s0 = s = ts[0]
-        t = ts[1]
+        while owner[ts[-1]] != g:
+            ts.pop()
+        while owner[ts[-2]] != g:
+            del ts[-2]
+        s0 = s = ts[-1]
+        t = ts[-2]
         flip = degree[t] < degree[s]
         if flip:
             s, t = t, s
-        nc = len(first)
-        value, level = max_flow_on_arcs(nc, first, to, cap, nxt,
+        value, level = max_flow_on_arcs(len(first), first, to, cap, nxt,
                                         where[s], where[t])
-        reach = nc - level.count(-1)
-        if reach == 1 or reach == nc - 1:
+        reach = len(level) - level.count(-1)
+        if reach == 1 or reach == live - 1:
             # one terminal cut off alone: its position becomes the new edge's
             # super-vertex, and the rest of the network stays as it is
             x = s if reach == 1 else t
-            terms.append([x])
-            ts.remove(x)
-            edge_at[where[x]] = len(tree)
+            at[where[x]] = ~e
+            part = [x]
             nets.append(None)
-            if len(ts) < 2:
-                nets[g] = None
         else:
-            side = [(y >= 0) != flip for y in level]   # True: s0's side
-            new, size = [], [0, 0]  # position -> its position on its side
-            for z in side:
-                new.append(size[z])
-                size[z] += 1
-            inner, cut = ([], []), ({}, {})
-            for y, x, w in zip(to[::2], to[1::2], cap[::2]):
-                z, zy = side[x], side[y]
-                x, y = new[x], new[y]
-                if z == zy:
-                    inner[z].append((x, y, w))
-                else:
-                    cut[z][x] = cut[z].get(x, 0) + w
-                    cut[zy][y] = cut[zy].get(y, 0) + w
-            for e, z in zip(edge_at, side):
-                if e >= 0 and not z:
-                    u, v, w = tree[e]
-                    tree[e] = (b if u == g else u, b if v == g else v, w)
-            terms[g] = [x for x in ts if side[where[x]]]
-            terms.append([x for x in ts if not side[where[x]]])
-            for x in ts:
-                where[x] = new[where[x]]
-            nets[g], net = [
-                ([e for e, y in zip(edge_at, side) if y == z] + [len(tree)],
-                 *_dinic_py.arcs(size[z] + 1, inner[z] + [
-                     (x, size[z], w) for x, w in cut[z].items()]))
-                if len(terms[h]) > 1 else None
-                for z, h in ((True, g), (False, b))]
-            nets.append(net)
+            # the smaller side: the source side (level >= 0) when ``inside``
+            inside = 2 * reach <= live
+            small = [p for p, y in enumerate(level)
+                     if (y >= 0) == inside and at[p] is not None]
+            part = []
+            for p in small:
+                x = at[p]
+                if x < 0:
+                    u, v, w = tree[~x]
+                    tree[~x] = (b if u == g else u, b if v == g else v, w)
+                elif owner[x] == g:
+                    part.append(x)
+            part.sort(reverse=True)
+            nets.append(_side_network(nets[g], small, e, where)
+                        if len(part) > 1 else None)
+            live -= len(small) - 1
+            if count[g] - len(part) < 2:
+                pass                # the larger side is finished too
+            elif len(at) + 1 - live > live:
+                # dead positions would outnumber live ones: write the larger
+                # side afresh
+                nets[g] = _side_network(nets[g], [
+                    p for p, y in enumerate(level)
+                    if (y >= 0) != inside and at[p] is not None], e, where)
+            else:
+                # contract the smaller side in place into position q
+                q = len(at)
+                at.append(~e)
+                first.append(-1)
+                for p in small:
+                    a = first[p]
+                    while a != -1:
+                        a_next = nxt[a]
+                        if (level[to[a]] >= 0) != inside:
+                            to[a ^ 1] = q
+                            nxt[a] = first[q]
+                            first[q] = a
+                        a = a_next
+                    first[p] = -1
+                    at[p] = None
+                nets[g] = (at, first, to, cap, nxt, live)
+        terms.append(part)
+        count.append(len(part))
+        count[g] -= len(part)
+        for x in part:
+            owner[x] = b
+        if count[g] < 2:
+            nets[g] = None
         order.append(b)
-        if terms[b][0] == s0:       # s0's group keeps the slot
+        if owner[s0] == b:          # s0's group keeps the slot
             order[i], order[-1] = b, g
         tree.append((g, b, value))
-    label = [ts[0] for ts in terms]
+    label = []
+    for h, ts in enumerate(terms):
+        while owner[ts[-1]] != h:
+            ts.pop()
+        label.append(ts[-1])
     out = sorted((min(label[a], label[b]), max(label[a], label[b]), w)
                  for a, b, w in tree)
     return CutTree(tuple(sorted(label)), tuple(out))
+
+
+def _side_network(net, positions, e, where):
+    """The network of ``positions`` of a group's ``net`` in arc arrays of
+    their own, the rest of it contracted into one super-vertex for tree
+    edge ``e``, which takes the edges to it summed per endpoint.  Each
+    member's ``where`` becomes its new position."""
+    at, first, to, cap, nxt, _ = net
+    new = {p: j for j, p in enumerate(positions)}
+    k = len(positions)
+    inner, cut = [], {}
+    for j, p in enumerate(positions):
+        x = at[p]
+        if x >= 0:
+            where[x] = j
+        a = first[p]
+        while a != -1:
+            y = new.get(to[a])
+            if y is None:
+                cut[j] = cut.get(j, 0) + cap[a]
+            elif a & 1:             # each inner edge once, from its odd arc
+                inner.append((j, y, cap[a]))
+            a = nxt[a]
+    inner += [(j, k, w) for j, w in cut.items()]
+    return ([at[p] for p in positions] + [~e],
+            *_dinic_py.arcs(k + 1, inner), k + 1)
 
 
 def dual_cut_tree(g: EmbeddedGraph) -> CutTree:

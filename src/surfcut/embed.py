@@ -85,10 +85,17 @@ class EmbeddedGraph:
         return self.dart_vertex(twin(d))
 
     def with_weights(self, weights) -> "EmbeddedGraph":
+        """This graph with new edge weights.  The rotations are the same, so
+        the copy shares the face tables already traced; the dual, which
+        holds the weights, is its own."""
         edges = tuple((u, v, w) for (u, v, _), w in zip(self.edges, weights))
-        return EmbeddedGraph(self.vertex_count, edges, self.rotations,
-                             self.boundary_faces, dict(self.origin_face_map),
-                             dict(self.origin_edge_map))
+        out = EmbeddedGraph(self.vertex_count, edges, self.rotations,
+                            self.boundary_faces, dict(self.origin_face_map),
+                            dict(self.origin_edge_map))
+        for name in ("_faces", "_face_of"):
+            if hasattr(self, name):
+                object.__setattr__(out, name, getattr(self, name))
+        return out
 
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
@@ -465,7 +472,12 @@ def _end_items(v, k):
 
 
 def parse_graph(text: str) -> EmbeddedGraph:
-    """Parse the plain text format (``V``, ``E``, edge and ``R`` lines)."""
+    """Parse the plain text format (``V``, ``E``, edge and ``R`` lines).
+
+    A weight is any rational ``Fraction`` reads; all of them are scaled by
+    the least common multiple of their denominators.  A weight of ASCII
+    digits only, the common case, is read by ``int``, which is much faster
+    and gives the same value."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     it = iter(lines)
@@ -492,8 +504,10 @@ def parse_graph(text: str) -> EmbeddedGraph:
             if len(parts) != 4:
                 raise GraphFormatError(
                     f"edge line {line!r} does not hold id, tail, head, weight")
+            w = parts[3]
             raw_edges.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                              Fraction(parts[3])))
+                              int(w) if w.isascii() and w.isdigit()
+                              else Fraction(w)))
         rotations = [None] * n
         for _ in range(n):
             parts = next(it).split()

@@ -155,11 +155,12 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
     it leaves one skip line.  Raises GenusLimitError above ``GENUS_MAX``.
 
     The root's nonzero classes share nothing until their members are
-    joined, so they are opened by ``_forked_map``'s worker pool.  Each
-    class's members, skip lines and slots are put back in class order, so
-    the collection does not depend on the number of workers or on which
-    worker opened which class.  Below the root every class is opened in the
-    process that holds its parent.
+    joined, so above genus 1 they are opened by ``_forked_map``'s worker
+    pool.  Each class's members, skip lines and slots are put back in class
+    order, so the collection does not depend on the number of workers or on
+    which worker opened which class.  A genus-1 root's classes open only
+    leaf members, which cost less than a fork, and below the root every
+    class is opened in the process that holds its parent.
     """
     if g.genus > GENUS_MAX:
         raise GenusLimitError(
@@ -247,7 +248,7 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
 
         order = sorted(walks)
         for opened in (_forked_map(open_class, order, worker="collection",
-                                   sends="members") if root
+                                   sends="members") if root and h.genus > 1
                        else map(open_class, order)):
             out.add(opened)
 

@@ -100,6 +100,15 @@ def torus_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def handle_file(tmp_path):
+    """A genus-2 graph: the 2x2 torus grid with a handle edge."""
+    path = tmp_path / "h2.graph"
+    path.write_text(format_graph(
+        gen.add_edge_between_faces(gen.torus_grid(2), 0, 2)))
+    return path
+
+
 class TestExitCodes:
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
@@ -239,7 +248,7 @@ class TestExitCodes:
         ("raise", 4, "error: minimum cuts cross in a collection worker"),
         ("exit", 5, "exited with status 3 without sending its members"),
     ])
-    def test_collection_worker_failure(self, torus_file, monkeypatch, capsys,
+    def test_collection_worker_failure(self, handle_file, monkeypatch, capsys,
                                        in_children, action, code, message):
         def fail():
             if action == "exit":
@@ -250,7 +259,7 @@ class TestExitCodes:
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
         monkeypatch.setattr(reduction, "tight_path",
                             in_children(reduction.tight_path, fail))
-        assert run(["build", str(torus_file)]) == code
+        assert run(["build", str(handle_file)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err

@@ -155,21 +155,24 @@ class TestGomoryHu:
         assert path_min(t, 0, 2) == 4
 
 
-def rebuilt_gomory_hu(n, edges, lighter=True):
+def rebuilt_gomory_hu(n, edges, lighter=True, terminals=None):
     """The contraction Gomory-Hu tree that rebuilt the whole contraction at
     every step, kept as the oracle for the incremental one.  With
     ``lighter`` each max-flow runs from the split pair's terminal of smaller
     weighted degree in the contracted graph, as ``gomory_hu`` does; without
-    it, always from the first terminal."""
-    if n == 1:
-        return CutTree((0,), ())
+    it, always from the first terminal.  ``terminals`` defaults to every
+    vertex; the other vertices only carry flow."""
+    terms = set(range(n) if terminals is None else terminals)
+    if len(terms) == 1:
+        return CutTree(tuple(terms), ())
     groups = [sorted(range(n))]
+    held = [len(terms)]                  # group -> its number of terminals
     tree_edges = []                      # (group_i, group_j, weight)
     while True:
-        gi = next((i for i, grp in enumerate(groups) if len(grp) > 1), None)
+        gi = next((i for i, h in enumerate(held) if h > 1), None)
         if gi is None:
             break
-        s, t = groups[gi][0], groups[gi][1]
+        s, t = [v for v in groups[gi] if v in terms][:2]
         cid, nc, group_cid = _contract(n, groups, tree_edges, gi)
         cedges = {}
         for u, v, w in edges:
@@ -196,6 +199,8 @@ def rebuilt_gomory_hu(n, edges, lighter=True):
         groups[gi] = in_a
         bi = len(groups)
         groups.append(in_b)
+        held[gi] = sum(v in terms for v in in_a)
+        held.append(sum(v in terms for v in in_b))
         moved = []
         for k, (x, y, w) in enumerate(tree_edges):
             other = y if x == gi else (x if y == gi else None)
@@ -208,10 +213,11 @@ def rebuilt_gomory_hu(n, edges, lighter=True):
             other = y if x == gi else x
             tree_edges[k] = (bi, other, w)
         tree_edges.append((gi, bi, value))
-    label = {i: grp[0] for i, grp in enumerate(groups)}
+    label = {i: next(v for v in grp if v in terms)
+             for i, grp in enumerate(groups)}
     out = tuple(sorted((min(label[a], label[b]), max(label[a], label[b]), w)
                        for a, b, w in tree_edges))
-    return CutTree(tuple(range(n)), out)
+    return CutTree(tuple(sorted(terms)), out)
 
 
 def _contract(n, groups, tree_edges, gi):
@@ -281,6 +287,27 @@ def tie_free_graphs(draw):
     return n, [(u, v, 1 << i) for (u, v), i in zip(pairs, order)]
 
 
+@st.composite
+def clustered_graphs(draw):
+    """Clusters of 1..4 vertices on paths of heavy edges, joined by light
+    edges of weight 0..2, with a subset of the vertices as terminals.  A
+    minimum cut between terminals of two clusters takes whole clusters, so
+    most splits cut off several positions, and one side is much smaller
+    than the other."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=9))
+    n = sum(sizes)
+    edges, start = [], 0
+    for k in sizes:
+        edges += [(v - 1, v, draw(st.integers(100, 103)))
+                  for v in range(start + 1, start + k)]
+        start += k
+    vertex = st.integers(0, n - 1)
+    edges += [(u, v, w) for u, v, w in draw(st.lists(
+        st.tuples(vertex, vertex, st.integers(0, 2)), max_size=3 * n))
+        if u != v]
+    return n, edges, draw(st.sets(vertex, min_size=1))
+
+
 class TestIncrementalGomoryHu:
     @settings(max_examples=400, deadline=None)
     @given(multigraphs())
@@ -328,6 +355,13 @@ class TestIncrementalGomoryHu:
         for x, y in itertools.combinations(sorted(terms), 2):
             assert path_min(t, x, y) == max_flow_min_cut(n, edges, x, y)[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(clustered_graphs())
+    def test_one_sided_splits_match_rebuilt_contraction(self, case):
+        n, edges, terms = case
+        assert gomory_hu(n, edges, terminals=terms) == \
+            rebuilt_gomory_hu(n, edges, terminals=terms)
+
 
 class CountedList(list):
     """A list that counts the passes made over it."""
@@ -340,17 +374,61 @@ class CountedList(list):
 
 
 class TestGomoryHuAtSize:
-    """Planar duals with F = 36 and 96 faces: many splits deep, so
-    super-vertices are carried across many levels of groups."""
+    """Planar duals with F = 36, 96, 196 and 336 faces: many splits deep, so
+    super-vertices are carried across many levels of groups, and networks
+    shrink in place over many partitions."""
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("k", [20, 50])
+    @pytest.mark.parametrize("k", [20, 50, 100, 170])
     def test_planar_duals_match_rebuilt_contraction(self, k, seed):
         g = gen.planar_triangulation(k, seed, max_weight=2)
         for h in (g, weights.perturb_graph(g, seed)):
             d = dual(h)
             assert gomory_hu(h.face_count, d) == \
                 rebuilt_gomory_hu(h.face_count, d)
+
+    @pytest.mark.parametrize("k", [100, 170])
+    def test_partitions_write_only_the_smaller_side(self, k, monkeypatch):
+        """A split that cuts off more than one position writes arc arrays
+        (through ``_dinic_py.arcs``) for its smaller side plus one
+        super-vertex, and a one-position split writes none.  The only other
+        write is a compaction: the larger side plus one, once the network's
+        dead positions would outnumber its live ones.  Those dead positions
+        were each on an earlier smaller side, so all compactions together
+        write fewer positions than the smaller sides hold."""
+        flow, arcs = cuttree.max_flow_on_arcs, _dinic_py.arcs
+        steps = []      # per max-flow: (live positions, source side, writes)
+
+        def counted_flow(n, first, *args):
+            value, level = flow(n, first, *args)
+            # the dual is connected, so only dead positions have no arcs
+            steps.append((n - first.count(-1), n - level.count(-1), []))
+            return value, level
+
+        def counted_arcs(n, edges):
+            if steps:
+                steps[-1][2].append(n)
+            return arcs(n, edges)
+
+        monkeypatch.setattr(cuttree, "max_flow_on_arcs", counted_flow)
+        monkeypatch.setattr(_dinic_py, "arcs", counted_arcs)
+        g = gen.planar_triangulation(k, 0)
+        for h in (g, weights.perturb_graph(g, 0)):
+            steps.clear()
+            gomory_hu(h.face_count, dual(h))
+            smaller = compacted = 0
+            for live, reach, writes in steps:
+                small = min(reach, live - reach)
+                if small == 1:
+                    assert writes == []
+                    continue
+                smaller += small
+                for n in writes:
+                    if n > small + 1:
+                        assert n == live - small + 1
+                        compacted += n
+                assert len(writes) <= 2
+            assert 0 < compacted < smaller
 
     def test_input_edges_are_read_a_fixed_number_of_times(self):
         passes = []

@@ -1,9 +1,11 @@
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from surfcut import gen
+from surfcut import cli, embed, gen
 from surfcut.embed import (
     ClosedCurve,
     EmbeddedGraph,
@@ -117,6 +119,27 @@ class TestDual:
         assert d == tuple((g.face_of(2 * e), g.face_of(2 * e + 1), w)
                           for e, (_, _, w) in enumerate(g.edges))
         assert dual(g) is d
+
+    def test_reweighted_copy_shares_faces_not_dual(self):
+        g = gen.torus_grid(3, seed=5)
+        d = dual(g)
+        h = g.with_weights([w + 1 for _, _, w in g.edges])
+        assert h.faces() is g.faces()
+        assert h._face_of is g._face_of
+        assert dual(h) is not d
+        assert dual(h) == tuple((x, y, w + 1) for x, y, w in d)
+        # a copy made before any face was traced traces its own
+        k = EmbeddedGraph(4, gen.k4().edges, gen.k4().rotations)
+        assert "_faces" not in vars(k.with_weights([2] * k.edge_count))
+
+    def test_build_traces_the_input_faces_once(self, monkeypatch):
+        g = parse_graph(format_graph(gen.planar_triangulation(20, 1)))
+        traced = []
+        real = embed.trace_faces
+        monkeypatch.setattr(embed, "trace_faces",
+                            lambda h: traced.append(h) or real(h))
+        cli.build_tree(g, 3)
+        assert traced == [g]
 
 
 class TestBoundaryOfFaces:
@@ -265,6 +288,35 @@ R 2 3 4
         g = parse_graph(text)
         assert [w for _, _, w in g.edges] == [2, 4, 9]
         assert g.genus == 0
+
+    @pytest.mark.parametrize("tokens", [
+        ["3"], ["007"], ["0"], ["+3"], ["-3"], ["-0"], ["1/2", "3"],
+        ["3/6", "5"], ["-1/2"], ["1.5", "2"], ["1e2"], ["1_0", "4"],
+        ["1_000/3"], ["1__0"], ["_1"], ["\u0663"], ["\uff13", "1/3"],
+        ["\u00b2"], ["1/0"], ["0x1"], ["nan"], [str(2 ** 70), "1/3"],
+    ])
+    def test_weights_read_as_fractions_would(self, tokens):
+        """Rationals, signs, underscores and non-ASCII digits (Arabic-Indic
+        and fullwidth three, superscript two): every weight token gives the
+        weights, or the error, of reading each token by ``Fraction`` and
+        scaling by the least common multiple of the denominators."""
+        m = len(tokens)
+        text = (f"V 2\nE {m}\n"
+                + "".join(f"{e} 0 1 {w}\n" for e, w in enumerate(tokens))
+                + "R 0 " + " ".join(str(2 * e) for e in range(m))
+                + "\nR 1 " + " ".join(str(2 * e + 1) for e in range(m))
+                + "\n")
+        try:
+            ws = [Fraction(w) for w in tokens]
+        except (ValueError, ZeroDivisionError):
+            ws = [Fraction(-1)]
+        if min(ws) < 0:
+            with pytest.raises(GraphFormatError):
+                parse_graph(text)
+        else:
+            scale = math.lcm(*(w.denominator for w in ws))
+            assert [w for _, _, w in parse_graph(text).edges] == \
+                [int(w * scale) for w in ws]
 
     @pytest.mark.parametrize("bad", [
         "V 1\nE 0\n",          # missing rotation line

@@ -649,8 +649,8 @@ class TestForkedMap:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedCollection:
     """The root's classes opened in forked workers give the one-worker
-    collection in order, nothing below the root forks, a worker's failure
-    comes back typed, and no child outlives a build."""
+    collection in order, nothing below the root or at a genus-1 root forks,
+    a worker's failure comes back typed, and no child outlives a build."""
 
     @pytest.mark.parametrize("perturbed", [False, True])
     @SURFACES
@@ -661,7 +661,8 @@ class TestForkedCollection:
         one, forks = with_cpus(monkeypatch, 1, planar_collection, g)
         assert forks == 0
         many, forks = with_cpus(monkeypatch, 4, planar_collection, g)
-        assert forks == min(4, len(walks)) - 1
+        # a genus-1 root opens its classes in the build's own process
+        assert forks == (min(4, len(walks)) - 1 if g.genus > 1 else 0)
         assert many.members == one.members
         assert many.attempted == one.attempted
         assert many.skipped == one.skipped
@@ -683,7 +684,7 @@ class TestForkedCollection:
         monkeypatch.setattr(reduction, "available_cpus", lambda: 2)
         with pytest.raises(CrossingCutsError,
                            match="raised in a collection worker"):
-            planar_collection(random_torus(3, 1))
+            planar_collection(random_handle2(1))
         assert_no_child()
 
     @pytest.mark.parametrize("action, status", [
@@ -699,7 +700,7 @@ class TestForkedCollection:
         with pytest.raises(WorkerError, match=(
                 rf"^collection worker \d+ {status} without sending its "
                 rf"members$")):
-            planar_collection(random_torus(3, 1))
+            planar_collection(random_handle2(1))
         assert_no_child()
 
     def test_parent_failure_reaps_workers(self, monkeypatch, in_parent):
