@@ -3,9 +3,10 @@
 Graphs here are plain weighted edge lists over integer vertex ids; the
 embedded structure is only needed upstream, and ``dual_cut_tree`` reads the
 dual's edge list from ``embed.dual``.  The max-flow kernel is
-``search(n, first, to, cap, nxt, s, t)`` on Dinic arc arrays (see
-``_dinic_py``): the compiled extension ``_dinic`` when it is built, else the
-pure Python ``_dinic_py`` (``SURFCUT_PURE=1`` forces the latter).
+``search(n, first, to, cap, nxt, s, t)`` on threaded arc arrays, Boykov and
+Kolmogorov's two-tree algorithm (see ``_dinic_py``): the compiled extension
+``_dinic`` when it is built, else the pure Python ``_dinic_py``
+(``SURFCUT_PURE=1`` forces the latter).
 A network whose capacities sum past the compiled kernel's 64-bit range goes
 to the pure one as well, on that kernel's own OverflowError.
 ``max_flow_on_arcs`` is the one entry to either kernel:
@@ -216,9 +217,9 @@ def gomory_hu(n, edges, terminals=None) -> CutTree:
     degree (the first one on a tie), and the group's side is the complement
     when it ran from the second.  Members are never contracted, so their
     degrees in a group's network are their degrees in the input.  Most
-    splits cut off one light face, so the flow ends once every arc leaving
-    that face is saturated, and the kernel labels the face alone without a
-    last search.  Where every minimum cut is unique, as under the
+    splits cut off one light face, so the flow ends at the kernel's source
+    exit, once every arc leaving that face is saturated, with the face alone
+    as its side.  Where every minimum cut is unique, as under the
     weight perturbation, the tree does not depend on the direction; with
     tied cuts it may hold other (equally minimum) sides.
     """

@@ -44,6 +44,25 @@ def torus_grid(k: int, seed=None, weights=None) -> EmbeddedGraph:
     return EmbeddedGraph(n, tuple(edges), tuple(rotations))
 
 
+def belt_torus(k: int, rows, seed=None) -> EmbeddedGraph:
+    """``torus_grid(k)`` whose east edges in ``rows`` are light.
+
+    The east edges of one row close a non-contractible cycle, a belt.  Belt
+    edges weigh 1..2 and all others 50..100, drawn from ``random.Random(seed)``
+    in edge-id order.  Two belts of one homology class bound a cylinder, so
+    the minimum cut between faces on different sides of two belts is often
+    that pair of belts: a cut that only a cycle member of the genus reduction
+    holds, with the belt it was opened along as its annotation.
+    """
+    rows = set(rows)
+    if not rows <= set(range(k)):
+        raise ValueError(f"belt rows {sorted(rows)} outside 0..{k - 1}")
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 2) if e < k * k and e // k in rows
+               else rng.randint(50, 100) for e in range(2 * k * k)]
+    return torus_grid(k, weights=weights)
+
+
 def triangle(weights=(1, 1, 1)) -> EmbeddedGraph:
     """Triangle on the sphere: 3 vertices, 3 edges, 2 faces."""
     edges = ((0, 1, weights[0]), (1, 2, weights[1]), (2, 0, weights[2]))

@@ -1,6 +1,6 @@
-"""Reference implementations: brute-force cuts, exhaustive separating
-subgraphs, the cut-tree and region-tree path scans, and the surface and
-homology tools that only tests use.
+"""Reference implementations: Dinic's max-flow, brute-force cuts,
+exhaustive separating subgraphs, the cut-tree and region-tree path scans,
+and the surface and homology tools that only tests use.
 
 The build path never calls into this module; tests check the build against
 it.
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from .cuttree import CutTree, max_flow_min_cut
+from . import _dinic_py
+from .cuttree import CutTree
 from .embed import (
     ClosedCurve,
     EmbeddedGraph,
@@ -31,6 +32,113 @@ from .merge import LeafTree
 from .reduction import AnnotatedPlanar, Collection
 
 
+def dinic_search(n, first, to, cap, nxt, s, t):
+    """Dinic's algorithm on threaded arc arrays; ``cap`` ends residual.
+
+    Returns ``(value, level)``: ``level[v] >= 0`` exactly for the vertices
+    residual-reachable from ``s``, the source side of a minimum cut.
+
+    Each phase first walks the source's arcs: when none has residual
+    capacity left, the flow is maximum and the source side is ``{s}``, which
+    is how most Gomory-Hu cuts end, and no search runs.  Otherwise the
+    phase labels each vertex with its residual distance to the sink, by a
+    search backwards from the sink that stops once it has labelled the
+    source.  The blocking flow walks down from the source along arcs one
+    level nearer the sink, so every vertex it enters had a path to the sink
+    at the phase's start and the walk seldom dead-ends.  When the backward
+    search misses the source, the flow is maximum, and one forward search
+    from the source labels the residual source side.
+    """
+    total = 0
+    while True:
+        a = first[s]
+        while a != -1 and cap[a] <= 0:
+            a = nxt[a]
+        level = [-1] * n
+        if a == -1:             # every arc leaving s is saturated
+            level[s] = 0
+            return total, level
+        # levels from the sink: u gets v's level plus one when the arc from
+        # u to v, the reverse of an arc a leaving v, has residual capacity
+        level[t] = 0
+        queue = [t]
+        for v in queue:
+            d = level[v] + 1
+            a = first[v]
+            while a != -1:
+                u = to[a]
+                if level[u] < 0 and cap[a ^ 1] > 0:
+                    level[u] = d
+                    if u == s:
+                        break
+                    queue.append(u)
+                a = nxt[a]
+            else:
+                continue
+            break           # the source is labelled
+        else:
+            # the sink is out of reach: label the residual source side
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                d = level[u] + 1
+                a = first[u]
+                while a != -1:
+                    v = to[a]
+                    if level[v] < 0 and cap[a] > 0:
+                        level[v] = d
+                        queue.append(v)
+                    a = nxt[a]
+            return total, level
+        # blocking flow: one depth-first walk along arcs one level down;
+        # ``cur`` keeps each vertex's next arc to try, a dead end loses its
+        # level, and after each augmentation the walk backs up to the tail of
+        # the first arc it saturated
+        cur = first[:]
+        path = []
+        u = s
+        want = level[s] - 1
+        while True:
+            if u == t:
+                pushed = min([cap[a] for a in path])
+                total += pushed
+                k = -1
+                for i, a in enumerate(path):
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                    if k < 0 and cap[a] == 0:
+                        k = i
+                u = to[path[k] ^ 1]
+                want = level[u] - 1
+                del path[k:]
+                continue
+            a = cur[u]
+            while a != -1 and not (cap[a] > 0 and level[to[a]] == want):
+                a = nxt[a]
+            cur[u] = a
+            if a != -1:
+                path.append(a)
+                u = to[a]
+                want -= 1
+            elif path:
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                want += 1
+            else:
+                break
+
+
+def dinic_min_cut(n, edges, s, t):
+    """Exact min st-cut ``(value, side_of_s)`` of an edge list by Dinic's
+    algorithm, with the residual source side: the reference that the build's
+    max-flow kernel (``cuttree.max_flow_min_cut``) is checked against."""
+    if s == t:
+        raise ValueError("source equals sink")
+    value, level = dinic_search(n, *_dinic_py.arcs(n, edges), s, t)
+    return value, frozenset(v for v in range(n) if level[v] >= 0)
+
+
 def all_pairs_min_cut(n, edges, limit=64):
     """Exact min-cut value and source side for every vertex pair."""
     if n > limit:
@@ -38,7 +146,7 @@ def all_pairs_min_cut(n, edges, limit=64):
     table = {}
     for x in range(n):
         for y in range(x + 1, n):
-            table[(x, y)] = max_flow_min_cut(n, edges, x, y)
+            table[(x, y)] = dinic_min_cut(n, edges, x, y)
     return table
 
 
@@ -134,7 +242,7 @@ def lifted_witness(member: AnnotatedPlanar, a: int, b: int):
     member's dual, which is the unique minimum cut under the perturbation.
     """
     n = 1 + max(max(x, y) for x, y, _, _ in member.dual)
-    _, side = max_flow_min_cut(
+    _, side = dinic_min_cut(
         n, [(x, y, w) for x, y, w, _ in member.dual], a, b)
     lifted = {e for x, y, _, e in member.dual if (x in side) != (y in side)}
     for cyc in member.annotation:
@@ -245,7 +353,7 @@ def min_separating_subgraph_exhaustive(g: EmbeddedGraph, a: int, b: int):
 
 def min_face_cut(g: EmbeddedGraph, a: int, b: int):
     """Min cut between two faces of g, computed as max-flow in the dual."""
-    return max_flow_min_cut(g.face_count, dual(g), a, b)
+    return dinic_min_cut(g.face_count, dual(g), a, b)
 
 
 def is_simple_cycle(x, g: EmbeddedGraph) -> bool:

@@ -20,6 +20,7 @@ from surfcut.errors import DisconnectedGraphError, QueryInputError
 from surfcut.oracle import (
     all_pairs_min_cut,
     brute_force_min_cut,
+    dinic_search,
     is_simple_cycle,
     min_face_cut,
     min_separating_subgraph_exhaustive,
@@ -80,25 +81,41 @@ class TestMaxFlow:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("n, edges, s, t", [
-        # every arc of the source has capacity 0: (0, {s}) with no search
+        # every arc of the source has capacity 0: (0, {s}) before any growth
         (3, [(0, 1, 0), (0, 2, 0), (1, 2, 5)], 0, 2),
         # a self-loop on the source never saturates, so the source exit
-        # does not fire and the last forward search finds {s}
+        # does not fire, and the call ends with no active vertex and {s}
         (3, [(0, 0, 4), (0, 1, 2), (1, 2, 3)], 0, 2),
-        # the sink is out of reach
+        # the sink is out of reach: the trees never meet
         (4, [(0, 1, 3), (2, 3, 1)], 0, 3),
-        # the first phase saturates every arc of the source
+        # the augmentations saturate every arc of the source, and the
+        # source exit ends the call
         (4, [(0, 1, 1), (0, 2, 1), (1, 3, 5), (2, 3, 5)], 0, 3),
-        # it saturates the source's first arc but not the arc to 2, so the
-        # exit must not fire: the source side is {0, 2}
+        # an augmentation saturates the source's arc to 1 but not the arc
+        # to 2, so the exit must not fire: the source side is {0, 2}
         (4, [(0, 2, 9), (2, 3, 1), (0, 1, 1), (1, 3, 1)], 0, 3),
         # the least minimum cut's source side holds several vertices, and
         # a tied cut lies past it: {0, 1, 2} and {0, 1, 2, 3} both weigh 2
         (6, [(0, 1, 5), (0, 2, 5), (1, 3, 1), (2, 3, 1), (3, 4, 2),
              (4, 5, 9)], 0, 5),
+        # 1 and 2 join the source tree from 0; the path 0-1-3 saturates
+        # 1's arc from its parent, and the orphan 1 re-attaches through 2
+        (4, [(3, 1, 7), (0, 2, 4), (1, 2, 6), (0, 1, 7)], 0, 3),
+        # 2 is freed once and joins the sink tree, and 1 joins below it; the
+        # path 0-3-1-2-4 saturates 2's arc to the sink, 2 finds no parent
+        # whose chain avoids its own subtree, and it is freed with its
+        # child 1, which is orphaned and freed in turn
+        (5, [(0, 3, 8), (2, 4, 9), (2, 1, 5), (2, 0, 6), (1, 3, 7)], 0, 4),
+        # 3 re-attaches through 2 and scans on from its current arc; then 2
+        # is freed, 3 is orphaned and re-attaches to 0, and 3, made active
+        # again, must restart at its first arc to grow 2 back into the
+        # source tree: the source side is {0, 2, 3}
+        (5, [(3, 0, 5), (0, 2, 1), (1, 3, 5), (4, 1, 7), (3, 0, 1),
+             (2, 3, 6)], 0, 4),
     ], ids=["source-arcs-zero", "source-self-loop", "sink-unreachable",
             "source-saturated", "one-source-arc-saturated",
-            "wide-source-side"])
+            "wide-source-side", "orphan-adopted", "orphan-subtree-freed",
+            "reactivated-scan-restarts"])
     def test_kernel_edge_cases(self, kernel, n, edges, s, t):
         value, level = kernel(n, *_dinic_py.arcs(n, edges), s, t)
         assert (value, residual_side(n, level)) == \
@@ -441,15 +458,83 @@ class TestGomoryHuAtSize:
 
 
 @st.composite
-def loopy_multigraphs(draw):
+def loopy_multigraphs(draw, weight=st.integers(0, 3)):
     """A multigraph on 2..9 vertices with parallel edges, zero weights and
     self-loops, and two distinct terminals."""
     n = draw(st.integers(2, 9))
     vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3)),
-                          max_size=18))
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=18))
     s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
     return n, edges, s, t
+
+
+# small weights, where ties abound, and powers of two up to 2**62, whose
+# sums pass the compiled kernel's int64 range
+WIDE_WEIGHTS = st.one_of(st.integers(0, 3),
+                         st.integers(0, 62).map(lambda k: 1 << k))
+
+
+def assert_feasible_flow(n, to, cap, residual, s, t, value):
+    """``cap - residual`` is a flow of ``value`` from s to t within ``cap``:
+    antisymmetric on each arc pair and conserved off the terminals."""
+    flow = [c - r for c, r in zip(cap, residual)]
+    for a in range(0, len(flow), 2):
+        assert flow[a] == -flow[a + 1]
+    assert all(f <= c for f, c in zip(flow, cap))
+    out = [0] * n
+    for a, f in enumerate(flow):
+        out[to[a ^ 1]] += f
+    assert out[s] == value == -out[t]
+    assert all(out[v] == 0 for v in range(n) if v not in (s, t))
+
+
+class TestKernelsAgainstDinic:
+    """Both kernels against ``oracle.dinic_search``, Dinic's algorithm: an
+    independent exact max-flow with the same residual source side."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(loopy_multigraphs(WIDE_WEIGHTS))
+    def test_kernels_match_reference(self, case):
+        n, edges, s, t = case
+        first, to, cap, nxt = _dinic_py.arcs(n, edges)
+        caps = cap[:]
+        fits = sum(c for c in cap if c > 0) < 2 ** 63
+        for x, y in ((s, t), (t, s)):
+            value, level = dinic_search(n, first, to, caps[:], nxt, x, y)
+            want = (value, residual_side(n, level))
+            residual = caps[:]
+            value, level = _dinic_py.search(n, first, to, residual, nxt, x, y)
+            assert (value, residual_side(n, level)) == want
+            assert_feasible_flow(n, to, caps, residual, x, y, value)
+            if _dinic is None:
+                continue
+            if not fits:
+                with pytest.raises(OverflowError):
+                    _dinic.search(n, first, to, cap, nxt, x, y)
+                continue
+            value, level = _dinic.search(n, first, to, cap, nxt, x, y)
+            assert (value, residual_side(n, level)) == want
+            assert cap == caps
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", ["planar170", "torus10"])
+    def test_benchmark_sized_duals_match_reference(self, kernel, seed,
+                                                   shape):
+        """The duals of the benchmark's largest planar and torus shapes, raw
+        and perturbed, on 20 seeded face pairs each."""
+        g = (gen.planar_triangulation(170, seed) if shape == "planar170"
+             else gen.torus_grid(10, seed=seed))
+        rng = random.Random(seed)
+        for h in (g, weights.perturb_graph(g, seed)):
+            n = h.face_count
+            first, to, cap, nxt = _dinic_py.arcs(n, dual(h))
+            for _ in range(20):
+                s, t = rng.sample(range(n), 2)
+                value, level = dinic_search(n, first, to, cap[:], nxt, s, t)
+                got, got_level = kernel(n, first, to, cap[:], nxt, s, t)
+                assert (got, residual_side(n, got_level)) == \
+                    (value, residual_side(n, level))
 
 
 class TestArcArrays:
@@ -477,15 +562,7 @@ class TestArcArrays:
         first, to, cap, nxt = _dinic_py.arcs(n, edges)
         residual = cap[:]
         value, _ = _dinic_py.search(n, first, to, residual, nxt, s, t)
-        flow = [c - r for c, r in zip(cap, residual)]
-        for a in range(0, len(flow), 2):
-            assert flow[a] == -flow[a + 1]
-        assert all(f <= c for f, c in zip(flow, cap))
-        out = [0] * n
-        for a, f in enumerate(flow):
-            out[to[a ^ 1]] += f
-        assert out[s] == value == -out[t]
-        assert all(out[v] == 0 for v in range(n) if v not in (s, t))
+        assert_feasible_flow(n, to, cap, residual, s, t, value)
 
     @pytest.mark.skipif(_dinic is None, reason="compiled kernel not built")
     @settings(max_examples=300, deadline=None)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfcut import gen, weights
 from surfcut.cuttree import CutTree, dual_cut_tree, gomory_hu
@@ -260,6 +262,53 @@ class TestCollectionMerge:
         for t in trees:
             assert project_member_tree(t).leaves() == frozenset(
                 g.ordinary_faces())
+
+
+@st.composite
+def belt_tori(draw):
+    """A belt torus on k = 3..6 with one to three belt rows, and for
+    k <= 4 possibly a handle edge of weight 1..100 between face 0 and
+    another face, with a perturbation seed."""
+    k = draw(st.integers(3, 6))
+    rows = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2 ** 16))
+    g = gen.belt_torus(k, rows, seed)
+    if k <= 4 and draw(st.booleans()):
+        g = gen.add_edge_between_faces(g, 0, draw(st.integers(1, k * k - 1)),
+                                       draw(st.integers(1, 100)))
+    return g, seed
+
+
+class TestBeltTori:
+    """Belt tori: light non-contractible rows make the reduction's cycle
+    members, their annotation weights and the merge of different member
+    trees carry minimum cuts that no annotation-0 member holds."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(belt_tori())
+    def test_merged_tree_equals_direct_tree(self, case):
+        g, seed = case
+        pg = weights.perturb_graph(g, seed)
+        merged = merged_collection_tree(member_trees(planar_collection(pg)))
+        assert merged == dual_cut_tree(pg)
+
+    def test_annotation_zero_members_miss_the_direct_tree(self):
+        """On this belt torus, merging only the annotation-0 members gives
+        a tree whose edge set and the direct tree's differ in 36 edges, so
+        the family stays load-bearing: a wrong cycle member or annotation
+        offset would show in the test above."""
+        pg = weights.perturb_graph(gen.belt_torus(6, [0, 3], seed=6), 7)
+        direct = dual_cut_tree(pg)
+        coll = planar_collection(pg)
+        trees = member_trees(coll)
+        assert merged_collection_tree(trees) == direct
+        zero = merged_collection_tree(
+            [t for m, t in zip(coll.members, trees) if m.annotation_weight == 0])
+        assert len(set(zero.edges) ^ set(direct.edges)) == 36
+
+    def test_rows_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            gen.belt_torus(4, [4])
 
 
 class TestLeafTreeFromCuts:
