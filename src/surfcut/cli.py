@@ -12,9 +12,11 @@ input failure (a malformed graph or artifact, or a bad query pair line), 3
 genus above ``reduction.GENUS_MAX`` (2), 4 crossing minimum cuts during
 merge, 5 a forked worker that ended without sending its result: a
 collection worker its members, or a member-tree worker its trees
-(``WorkerError``, naming its kind and exit status).  An error raised inside
-a worker reaches the CLI with its own type and exit code.  No edge count is refused:
-the weight perturbation's scale grows with the instance.
+(``WorkerError``, naming its kind and exit status).  Each error type carries
+its code as ``code``; a ``ValueError`` or ``OSError`` exits 2.  An error
+raised inside a worker reaches the CLI with its own type and exit code.  No
+edge count is refused: the weight perturbation's scale grows with the
+instance.
 """
 
 from __future__ import annotations
@@ -28,22 +30,10 @@ from itertools import repeat
 from . import gen, weights
 from .cuttree import CutTree, dual_cut_tree, host_checksum, validate_cut_tree
 from .embed import dual, format_graph, parse_graph
-from .errors import (
-    CrossingCutsError,
-    GenusLimitError,
-    GraphFormatError,
-    QueryInputError,
-    SurfcutError,
-    WorkerError,
-)
+from .errors import GraphFormatError, QueryInputError, SurfcutError
 from .merge import merged_collection_tree
 from .query import build_index, min_cut_query
 from .reduction import member_trees, planar_collection
-
-EXIT_PARSE = 2
-EXIT_GENUS = 3
-EXIT_CROSSING = 4
-EXIT_WORKER = 5
 
 PAIRS_BLOCK = 1 << 16     # characters of pairs text answered per bulk pass
 
@@ -255,18 +245,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GenusLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENUS
-    except CrossingCutsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CROSSING
-    except WorkerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WORKER
     except (SurfcutError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.code if isinstance(exc, SurfcutError) else SurfcutError.code
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ darts ``2*e`` (at its u-endpoint) and ``2*e + 1`` (at its v-endpoint), and each
 vertex carries a clockwise cyclic order of its darts.  Faces, the dual's edge
 list, the genus and surface surgery (cutting along cycles and paths) are all
 derived from this data.  Weights are exact integers throughout.
+
+Chords and surgery name the places around a vertex by doubled positions: the
+dart at rotation position p sits at 2p, and the corner after it, between
+darts p and p + 1, at 2p + 1.
 """
 
 from __future__ import annotations
@@ -92,9 +96,8 @@ class EmbeddedGraph:
         out = EmbeddedGraph(self.vertex_count, edges, self.rotations,
                             self.boundary_faces, dict(self.origin_face_map),
                             dict(self.origin_edge_map))
-        for name in ("_faces", "_face_of"):
-            if hasattr(self, name):
-                object.__setattr__(out, name, getattr(self, name))
+        if hasattr(self, "_face_table"):
+            object.__setattr__(out, "_face_table", self._face_table)
         return out
 
     def is_connected(self) -> bool:
@@ -117,23 +120,20 @@ class EmbeddedGraph:
 
     # -- faces -------------------------------------------------------------
 
+    def face_table(self):
+        """``(faces, face_of)`` from :func:`trace_faces`, traced once and
+        cached on the graph."""
+        table = getattr(self, "_face_table", None)
+        if table is None:
+            table = trace_faces(self)
+            object.__setattr__(self, "_face_table", table)
+        return table
+
     def faces(self):
-        """Face dart-cycles, cached.  See :func:`trace_faces`."""
-        cached = getattr(self, "_faces", None)
-        if cached is None:
-            cached = trace_faces(self)
-            object.__setattr__(self, "_faces", cached)
-        return cached
+        return self.face_table()[0]
 
     def face_of(self, d: int) -> int:
-        table = getattr(self, "_face_of", None)
-        if table is None:
-            table = {}
-            for f, cycle in enumerate(self.faces()):
-                for x in cycle:
-                    table[x] = f
-            object.__setattr__(self, "_face_of", table)
-        return table[d]
+        return self.face_table()[1][d]
 
     @property
     def face_count(self) -> int:
@@ -155,10 +155,12 @@ class EmbeddedGraph:
 
 
 def trace_faces(g: EmbeddedGraph):
-    """Orbits of the face-tracing permutation, as dart cycles.
+    """``(faces, face_of)``: the orbits of the face-tracing permutation as
+    dart cycles, and the face id of every dart in a list.
 
     The successor of dart ``d`` on its face is the dart after ``twin(d)`` in
-    the clockwise rotation at the head of ``d``.
+    the clockwise rotation at the head of ``d``.  A connected graph without
+    darts, a single vertex, has one empty face.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("face tracing requires a connected graph")
@@ -166,25 +168,28 @@ def trace_faces(g: EmbeddedGraph):
 
 
 def _face_orbits(rotations):
-    succ = {}
+    succ = [0] * sum(map(len, rotations))
+    if not succ:
+        return ((),), []
     for rot in rotations:
         n = len(rot)
         for i, d in enumerate(rot):
             succ[twin(d)] = rot[(i + 1) % n]
     faces = []
-    visited = set()
+    face_of = [-1] * len(succ)
     for rot in rotations:
         for d in rot:
-            if d in visited:
+            if face_of[d] >= 0:
                 continue
+            f = len(faces)
             cycle = []
             x = d
-            while x not in visited:
-                visited.add(x)
+            while face_of[x] < 0:
+                face_of[x] = f
                 cycle.append(x)
                 x = succ[x]
             faces.append(tuple(cycle))
-    return tuple(faces)
+    return tuple(faces), face_of
 
 
 def dual(g: EmbeddedGraph) -> tuple:
@@ -192,7 +197,8 @@ def dual(g: EmbeddedGraph) -> tuple:
     for every edge e, in edge order, over g's face ids 0..face_count-1."""
     cached = getattr(g, "_dual", None)
     if cached is None:
-        cached = tuple((g.face_of(2 * e), g.face_of(2 * e + 1), w)
+        face_of = g.face_table()[1]
+        cached = tuple((face_of[2 * e], face_of[2 * e + 1], w)
                        for e, (_, _, w) in enumerate(g.edges))
         object.__setattr__(g, "_dual", cached)
     return cached
@@ -340,93 +346,62 @@ def _end_chord(g, d, face, start):
 
 
 def _rebuild_cut(g, x, chords):
+    """``g`` cut open along the edges ``x`` by the chords of ``_chords``.
+
+    An item is ``(v, k, half)`` at doubled position ``k`` around ``v``.  A
+    chord end (a cut dart, or a corner that a path end uses) splits into its
+    ccw half 0 and its cw half 1; every other dart is the one item
+    ``(v, 2p, 0)``.  Each item is followed by the next one around ``v``,
+    except that a chord joins each end's ccw half to the other end's cw
+    half; the orbits of this successor are the new vertices.  Every edge
+    keeps its id, and the second copies of the cut edges follow in sorted
+    edge order.  The half of a cut dart that equals the dart's side keeps
+    edge e, the copy next to ``face_of(d)``; the other half is the second
+    copy.
+    """
     m_old = g.edge_count
-    # new edge ids: non-cut edges and first copies keep their ids;
-    # second copies are appended in sorted edge order.
-    copy2_id = {}
-    nid = m_old
-    for e in sorted(x):
-        copy2_id[e] = nid
-        nid += 1
-
-    # items per vertex, with chord-jump successors
-    def dart_items(v, pos, d):
-        if edge_of(d) in x:
-            return [("ccw", v, pos), ("cw", v, pos)]
-        return [("o", v, pos)]
-
-    def entry_dart(item):
-        kind, v, pos = item
-        d = g.rotations[v][pos]
-        if kind == "o":
-            return d
-        e = edge_of(d)
-        # copy adjacent to face(d) keeps id e and consists of the ccw half of
-        # d and the cw half of twin(d); the other copy gets copy2_id[e].
-        if side_of(d) == 0:
-            return 2 * e if kind == "ccw" else 2 * copy2_id[e]
-        return 2 * e + 1 if kind == "cw" else 2 * copy2_id[e] + 1
-
-    # assemble per-vertex cyclic item lists and jump map
-    jump = {}
-    vertex_items = []
+    origin = [*range(m_old), *sorted(x)]          # new edge id -> old edge
+    copy2 = {e: c for c, e in enumerate(origin[m_old:], m_old)}
+    succ = {}
+    order = []
     for v, rot in enumerate(g.rotations):
         at = chords.get(v, ())
-        corner_cut = {k // 2 for a, b, _ in at for k in (a, b) if k % 2}
+        ends = {k for a, b, _ in at for k in (a, b)}
         items = []
-        for pos, d in enumerate(rot):
-            items.extend(dart_items(v, pos, d))
-            if pos in corner_cut:
-                items.append(("cna", v, pos))
-                items.append(("cnb", v, pos))
-        vertex_items.append(items)
-        # jumps: ccw-side item of one endpoint -> cw-side item of the other
+        for k in range(2 * len(rot)):
+            if k in ends:
+                items += [(v, k, 0), (v, k, 1)]
+            elif k % 2 == 0:
+                items.append((v, k, 0))
+        succ.update(zip(items, items[1:] + items[:1]))
         for a, b, _ in at:
-            ia_ccw, ia_cw = _end_items(v, a)
-            ib_ccw, ib_cw = _end_items(v, b)
-            jump[ia_ccw] = ib_cw
-            jump[ib_ccw] = ia_cw
+            succ[v, a, 0] = (v, b, 1)
+            succ[v, b, 0] = (v, a, 1)
+        order += items
 
     # orbits of the successor map = new vertices
-    succ = {}
-    for v, items in enumerate(vertex_items):
-        n = len(items)
-        for i, it in enumerate(items):
-            succ[it] = jump.get(it, items[(i + 1) % n])
-    new_vertex_of = {}
+    dart_vertex = [0] * (2 * len(origin))
     new_rotations = []
-    for v, items in enumerate(vertex_items):
-        for it in items:
-            if it in new_vertex_of:
-                continue
-            vid = len(new_rotations)
-            rot_new = []
-            cur = it
-            while cur not in new_vertex_of:
-                new_vertex_of[cur] = vid
-                if cur[0] in ("o", "ccw", "cw"):
-                    rot_new.append(entry_dart(cur))
-                cur = succ[cur]
-            new_rotations.append(tuple(rot_new))
-
-    # locate each new dart's vertex
-    dart_pos = {}
-    for vid, rot in enumerate(new_rotations):
-        for d in rot:
-            dart_pos[d] = vid
-    edges = []
-    origin_edge_map = {}
-    for e in range(m_old):
-        if 2 * e not in dart_pos or 2 * e + 1 not in dart_pos:
-            raise CurveShapeError("cut produced dangling darts")
-        edges.append((dart_pos[2 * e], dart_pos[2 * e + 1], g.edges[e][2]))
-        origin_edge_map[e] = e
-    for e in sorted(x):
-        c = copy2_id[e]
-        edges.append((dart_pos[2 * c], dart_pos[2 * c + 1], g.edges[e][2]))
-        origin_edge_map[c] = e
-
-    faces = _face_orbits(new_rotations)
+    seen = set()
+    for item in order:
+        if item in seen:
+            continue
+        rot_new = []
+        while item not in seen:
+            seen.add(item)
+            v, k, half = item
+            if k % 2 == 0:
+                d = g.rotations[v][k // 2]
+                e, side = edge_of(d), side_of(d)
+                if half != side and e in copy2:
+                    d = 2 * copy2[e] + side
+                dart_vertex[d] = len(new_rotations)
+                rot_new.append(d)
+            item = succ[item]
+        new_rotations.append(tuple(rot_new))
+    edges = tuple((dart_vertex[2 * c], dart_vertex[2 * c + 1], g.edges[e][2])
+                  for c, e in enumerate(origin))
+    faces, face_of = _face_orbits(new_rotations)
 
     # classify faces: ordinary faces keep their projected dart set (both
     # copies of a cut edge project onto the original edge, side by side)
@@ -434,8 +409,7 @@ def _rebuild_cut(g, x, chords):
     face_map = {}
     boundary = set()
     for f, cyc in enumerate(faces):
-        key = frozenset(2 * origin_edge_map[edge_of(d)] + side_of(d)
-                        for d in cyc)
+        key = frozenset(2 * origin[edge_of(d)] + side_of(d) for d in cyc)
         if len(key) == len(cyc) and key in old_key:
             face_map[f] = old_key.pop(key)
         else:
@@ -449,22 +423,15 @@ def _rebuild_cut(g, x, chords):
             boundary.add(f)
         else:
             final_face_map[f] = old_f
-    result = EmbeddedGraph(len(new_rotations), tuple(edges),
-                           tuple(new_rotations), frozenset(boundary),
-                           final_face_map, origin_edge_map)
+    result = EmbeddedGraph(len(new_rotations), edges, tuple(new_rotations),
+                           frozenset(boundary), final_face_map,
+                           dict(enumerate(origin)))
     if not result.is_connected():
         raise SeparatingCutError("cut disconnects the graph")
-    object.__setattr__(result, "_faces", faces)     # same rotations, same faces
+    # the table traced above is the result's own: same rotations
+    object.__setattr__(result, "_face_table", (faces, face_of))
     object.__setattr__(result, "new_boundary_faces", fresh)
     return result
-
-
-def _end_items(v, k):
-    """The items either side of chord end ``k`` at ``v``: a dart's ccw and cw
-    halves, or a corner's two sides."""
-    if k % 2:
-        return ("cna", v, k // 2), ("cnb", v, k // 2)
-    return ("ccw", v, k // 2), ("cw", v, k // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Exception types shared across surfcut."""
+"""Exception types shared across surfcut.  Each carries the exit code
+``surfcut`` returns for it as ``code``."""
 
 
 class SurfcutError(Exception):
-    """Base class for all surfcut errors."""
+    """Base class for all surfcut errors: an input failure unless a subclass
+    says otherwise."""
+
+    code = 2
 
 
 class GraphFormatError(SurfcutError):
@@ -29,9 +33,13 @@ class CurveShapeError(SurfcutError):
 class GenusLimitError(SurfcutError):
     """Input genus exceeds ``reduction.GENUS_MAX``."""
 
+    code = 3
+
 
 class CrossingCutsError(SurfcutError):
     """Minimum cuts from different trees cross; merging is undefined."""
+
+    code = 4
 
 
 class NoPathError(SurfcutError):
@@ -41,3 +49,5 @@ class NoPathError(SurfcutError):
 class WorkerError(SurfcutError):
     """A forked collection or member-tree worker ended without sending back
     its result."""
+
+    code = 5

@@ -447,6 +447,20 @@ class TestDeterminism:
             assert out.count(": pass\n") == 3
 
 
+class TestOneVertexNoEdges:
+    """One vertex and no edges is a sphere with one empty face: it builds
+    the one-node tree and passes all three verify checks."""
+
+    def test_build_and_verify(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("V 1\nE 0\nR 0\n"))
+        assert run(["build", "-"]) == 0
+        tree = json.loads(capsys.readouterr().out)["tree"]
+        assert (tree["nodes"], tree["edges"]) == ([0], [])
+        monkeypatch.setattr("sys.stdin", io.StringIO("V 1\nE 0\nR 0\n"))
+        assert run(["verify", "-"]) == 0
+        assert capsys.readouterr().out.count(": pass\n") == 3
+
+
 # Tokens of a pairs file: faces of the 3x3 torus's tree (0-8), spellings
 # ``int`` accepts, faces the tree lacks, and non-integers.
 FACE_TOKENS = [str(f) for f in range(9)]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -124,13 +125,14 @@ class TestDual:
         g = gen.torus_grid(3, seed=5)
         d = dual(g)
         h = g.with_weights([w + 1 for _, _, w in g.edges])
-        assert h.faces() is g.faces()
-        assert h._face_of is g._face_of
+        assert h.face_table() is g.face_table()
         assert dual(h) is not d
         assert dual(h) == tuple((x, y, w + 1) for x, y, w in d)
         # a copy made before any face was traced traces its own
         k = EmbeddedGraph(4, gen.k4().edges, gen.k4().rotations)
-        assert "_faces" not in vars(k.with_weights([2] * k.edge_count))
+        k2 = k.with_weights([2] * k.edge_count)
+        assert k2.face_table() is not k.face_table()
+        assert k2.face_table() == k.face_table()
 
     def test_build_traces_the_input_faces_once(self, monkeypatch):
         g = parse_graph(format_graph(gen.planar_triangulation(20, 1)))
@@ -409,3 +411,59 @@ class TestCurveShapeErrors:
         g = gen.torus_grid(3)
         with pytest.raises(CurveShapeError):
             cut_along(g, ROW0 | frozenset({3, 4, 5}))
+
+
+def surgery_digest(h):
+    """sha256 of a surgery result's rotations, edges, boundary faces, both
+    origin maps and fresh boundary faces."""
+    fields = (h.rotations, h.edges, sorted(h.boundary_faces),
+              sorted(h.origin_face_map.items()),
+              sorted(h.origin_edge_map.items()), sorted(h.new_boundary_faces))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+class TestGoldenSurgery:
+    """Surgery results pinned by hash, so a change to the rebuild that moves
+    any vertex, edge or face id fails here and not only in the artifacts.
+    The curves are the tight cycles and the tight path that the homology
+    searches find on these graphs, written out so that only surgery is
+    pinned."""
+
+    @pytest.mark.parametrize("darts, digest", [
+        # one tight cycle per nonzero class of torus_grid(3, seed=1)
+        ((6, 8, 10),
+         "9166c2512fda281a115b1d4db73cef2dea4ec0f5af001d45932555f63c3b9084"),
+        ((18, 24, 30),
+         "7a7c49b2d5fcaa823474082d4c47f58450a730be396fab09ff05aa9bcb863b9b"),
+        ((6, 8, 10, 24, 30, 18),
+         "69d65b9aff9135db492bdea103154afa344a185fde9ab6d69fe428097e764d95"),
+    ])
+    def test_tight_cycle_cuts_of_a_torus(self, darts, digest):
+        g = gen.torus_grid(3, seed=1)
+        assert surgery_digest(cut_along_curves(g, [ClosedCurve(darts)])) == digest
+
+    def test_path_cut_after_a_cycle_cut(self):
+        cut = cut_along_curves(gen.torus_grid(3, seed=1),
+                               [ClosedCurve((6, 8, 10))])
+        b1, b2 = sorted(cut.new_boundary_faces)
+        h = cut_along_curves(cut, [OpenCurve((19, 31, 25), b1, b2)])
+        assert surgery_digest(h) == (
+            "0cea185dcdf7b91b9d62fa2f8f929f3fd5bc1a9aca5a05d24995df84fc247149")
+
+    def test_one_vertex_double_torus(self):
+        h = cut_along_curves(gen.double_torus_one_vertex(),
+                             [ClosedCurve((0,))])
+        assert surgery_digest(h) == (
+            "d0cdcb4eab2d30694f211953036390137562b8bfd3cc1a8711042453a3d616c6")
+
+    def test_belt_handle(self):
+        g = gen.add_edge_between_faces(gen.belt_torus(5, [1, 3], seed=5),
+                                       0, 12, 75)
+        h = cut_along_curves(g, [ClosedCurve((52, 62, 101))])
+        assert surgery_digest(h) == (
+            "c59a2070520cd87fa0bb7632d2965eee0e6e30b89dfea2fc6959671cbd889db2")
+
+    def test_two_curves_through_one_vertex(self):
+        h = cut_along(gen.torus_grid(3), ROW0 | COL0)
+        assert surgery_digest(h) == (
+            "04ec9186a2b8f0f822b339e995130302eef92df3d655154bb70254a6f02547a1")

@@ -423,8 +423,8 @@ def test_batched_searches_match_per_class_searches(g):
 @settings(max_examples=30, deadline=None)
 @given(surfaces())
 def test_surgery_children_keep_their_traced_faces(g):
-    """Each child of a cycle cut and of a cycle-path cut carries the faces
-    surgery traced for it; they equal a fresh trace of the child."""
+    """Each child of a cycle cut and of a cycle-path cut carries the face
+    table surgery traced for it; it equals a fresh trace of the child."""
     basis = homology_basis(g)
     classes = 1 << (2 * basis.genus)
     walks, _ = tight_cycle_walk(g, basis)
@@ -444,4 +444,4 @@ def test_surgery_children_keep_their_traced_faces(g):
             except (SeparatingCutError, CurveShapeError):
                 continue
     for child in children:
-        assert child.faces() == trace_faces(child)
+        assert child.face_table() == trace_faces(child)
