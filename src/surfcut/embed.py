@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -44,8 +44,13 @@ class EmbeddedGraph:
 
     ``edges[e] = (u, v, w)``; ``rotations[v]`` lists the darts at ``v`` in
     clockwise order.  ``boundary_faces`` marks faces created by surgery.
-    ``origin_face_map`` / ``origin_edge_map`` relate ordinary faces and edge
-    copies back to the graph this one was cut from (identity when absent).
+    A surgery result also hands back three fields that relate it to the
+    graph ``g`` it was cut from, and that are empty on any other graph:
+
+    - ``origin_face_map``: each ordinary face -> its face id in ``g``;
+    - ``origin_edge_map``: a tuple, edge id -> the edge of ``g`` it copies;
+    - ``new_boundary_faces``: the boundary faces this cut opened, as
+      opposed to those inherited from ``g``.
     """
 
     vertex_count: int
@@ -53,7 +58,8 @@ class EmbeddedGraph:
     rotations: tuple
     boundary_faces: frozenset = frozenset()
     origin_face_map: dict = field(default_factory=dict, compare=False)
-    origin_edge_map: dict = field(default_factory=dict, compare=False)
+    origin_edge_map: tuple = field(default=(), compare=False)
+    new_boundary_faces: frozenset = field(default=frozenset(), compare=False)
 
     def __post_init__(self):
         seen = {}
@@ -90,12 +96,10 @@ class EmbeddedGraph:
 
     def with_weights(self, weights) -> "EmbeddedGraph":
         """This graph with new edge weights.  The rotations are the same, so
-        the copy shares the face tables already traced; the dual, which
-        holds the weights, is its own."""
+        the copy shares the face tables already traced and every surgery
+        output; the dual, which holds the weights, is its own."""
         edges = tuple((u, v, w) for (u, v, _), w in zip(self.edges, weights))
-        out = EmbeddedGraph(self.vertex_count, edges, self.rotations,
-                            self.boundary_faces, dict(self.origin_face_map),
-                            dict(self.origin_edge_map))
+        out = replace(self, edges=edges)
         if hasattr(self, "_face_table"):
             object.__setattr__(out, "_face_table", self._face_table)
         return out
@@ -360,7 +364,7 @@ def _rebuild_cut(g, x, chords):
     copy.
     """
     m_old = g.edge_count
-    origin = [*range(m_old), *sorted(x)]          # new edge id -> old edge
+    origin = (*range(m_old), *sorted(x))          # new edge id -> old edge
     copy2 = {e: c for c, e in enumerate(origin[m_old:], m_old)}
     succ = {}
     order = []
@@ -403,34 +407,26 @@ def _rebuild_cut(g, x, chords):
                   for c, e in enumerate(origin))
     faces, face_of = _face_orbits(new_rotations)
 
-    # classify faces: ordinary faces keep their projected dart set (both
-    # copies of a cut edge project onto the original edge, side by side)
+    # classify faces: a face that keeps its projected dart set (both copies
+    # of a cut edge project onto the original edge, side by side) is one of
+    # g's faces, ordinary or boundary there; every other face is fresh
     old_key = {frozenset(cyc): f for f, cyc in enumerate(g.faces())}
     face_map = {}
-    boundary = set()
+    fresh = []
     for f, cyc in enumerate(faces):
         key = frozenset(2 * origin[edge_of(d)] + side_of(d) for d in cyc)
-        if len(key) == len(cyc) and key in old_key:
-            face_map[f] = old_key.pop(key)
-        else:
-            boundary.add(f)
-    # map back through g's own labels: ordinary faces of g that were boundary
-    # in g stay boundary here.
-    fresh = frozenset(boundary)
-    final_face_map = {}
-    for f, old_f in face_map.items():
-        if old_f in g.boundary_faces:
-            boundary.add(f)
-        else:
-            final_face_map[f] = old_f
+        old = old_key.pop(key, None) if len(key) == len(cyc) else None
+        if old is None:
+            fresh.append(f)
+        elif old not in g.boundary_faces:
+            face_map[f] = old
     result = EmbeddedGraph(len(new_rotations), edges, tuple(new_rotations),
-                           frozenset(boundary), final_face_map,
-                           dict(enumerate(origin)))
+                           frozenset(range(len(faces))).difference(face_map),
+                           face_map, origin, frozenset(fresh))
     if not result.is_connected():
         raise SeparatingCutError("cut disconnects the graph")
     # the table traced above is the result's own: same rotations
     object.__setattr__(result, "_face_table", (faces, face_of))
-    object.__setattr__(result, "new_boundary_faces", fresh)
     return result
 
 

@@ -22,11 +22,9 @@ INF = float("inf")
 @dataclass(frozen=True)
 class HomologyBasis:
     graph: EmbeddedGraph
-    tree_edges: frozenset
     cotree_edges: frozenset
     leftover: tuple
     primal_cycles: tuple
-    dual_cycles: tuple
     edge_signature: tuple = field(compare=False)
 
     @property
@@ -74,8 +72,8 @@ def homology_basis(g: EmbeddedGraph) -> HomologyBasis:
     leftover = tuple(e for e in range(g.edge_count)
                      if e not in tree and e not in cotree)
     primal_cycles = []
-    dual_cycles = []
-    for x in leftover:
+    sig = [0] * g.edge_count
+    for i, x in enumerate(leftover):
         u, v, _ = g.edges[x]
         pu = set(_tree_path(parent, 0, u))
         pv = set(_tree_path(parent, 0, v))
@@ -83,13 +81,10 @@ def homology_basis(g: EmbeddedGraph) -> HomologyBasis:
         fu, fv, _ = d[x]
         qu = set(_tree_path(dual_parent, 0, fu))
         qv = set(_tree_path(dual_parent, 0, fv))
-        dual_cycles.append(frozenset({x} | (qu ^ qv)))
-    sig = [0] * g.edge_count
-    for i, cyc in enumerate(dual_cycles):
-        for e in cyc:
+        for e in {x} | (qu ^ qv):       # dual basis cycle i
             sig[e] |= 1 << i
-    return HomologyBasis(g, tree, cotree, leftover,
-                         tuple(primal_cycles), tuple(dual_cycles), tuple(sig))
+    return HomologyBasis(g, cotree, leftover, tuple(primal_cycles),
+                         tuple(sig))
 
 
 def _cover_moves(g: EmbeddedGraph, signatures, classes: int):

@@ -90,12 +90,6 @@ def expected_size(genus: int) -> int:
     return n
 
 
-def _inherited_signatures(child, basis):
-    """Pull the parent's edge signatures through the surgery's edge map."""
-    return [basis.edge_signature[child.origin_edge_map.get(e, e)]
-            for e in range(child.edge_count)]
-
-
 def _cut_cycle(g, walk):
     """Cut along one tight cycle; returns the cut graph and its two fresh
     boundary faces."""
@@ -169,11 +163,9 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
     bound = answer_bound(g)
 
     def compose(parent_edge_map, parent_face_map, child):
-        edge_map = tuple(parent_edge_map[child.origin_edge_map.get(e, e)]
-                         for e in range(child.edge_count))
+        edge_map = tuple(parent_edge_map[e] for e in child.origin_edge_map)
         face_map = {f: parent_face_map[p]
-                    for f, p in child.origin_face_map.items()
-                    if p in parent_face_map}
+                    for f, p in child.origin_face_map.items()}
         return edge_map, face_map
 
     def recurse(out, h, edge_map, face_map, annotation, weight, prov, cuts,
@@ -217,7 +209,7 @@ def planar_collection(g: EmbeddedGraph) -> Collection:
                         child_weight, prov + [f"cycle h={c}"],
                         cuts + [("cycle", cyc_orig)])
             leaf = cut.genus == 0
-            sigs = _inherited_signatures(cut, basis)
+            sigs = [basis.edge_signature[e] for e in cut.origin_edge_map]
             paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
             for target in range(classes):
                 reason = no_path.get(target)

@@ -208,6 +208,18 @@ class TestCutAlong:
         for e, (u, v, w) in enumerate(h.edges):
             assert w == g.weight(h.origin_edge_map[e])
 
+    def test_reweighted_cut_keeps_what_surgery_handed_back(self):
+        cut = cut_along_curves(gen.torus_grid(3, seed=1),
+                               [ClosedCurve((6, 8, 10))])
+        heavy = cut.with_weights([w + 1 for _, _, w in cut.edges])
+        assert heavy.origin_edge_map == cut.origin_edge_map
+        assert heavy.origin_face_map == cut.origin_face_map
+        assert heavy.new_boundary_faces == cut.new_boundary_faces
+        assert len(heavy.new_boundary_faces) == 2
+        assert type(heavy.boundary_faces) is frozenset
+        assert heavy.boundary_faces == cut.boundary_faces
+        assert heavy.face_table() is cut.face_table()
+
     def test_cut_then_path_gives_disk(self):
         g = gen.torus_grid(3)
         h = cut_along(g, ROW0)
@@ -418,7 +430,7 @@ def surgery_digest(h):
     origin maps and fresh boundary faces."""
     fields = (h.rotations, h.edges, sorted(h.boundary_faces),
               sorted(h.origin_face_map.items()),
-              sorted(h.origin_edge_map.items()), sorted(h.new_boundary_faces))
+              sorted(enumerate(h.origin_edge_map)), sorted(h.new_boundary_faces))
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 

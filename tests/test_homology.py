@@ -26,7 +26,7 @@ from surfcut.oracle import (
     dual_path,
     subgraph_signature,
 )
-from surfcut.reduction import _cut_cycle, _inherited_signatures
+from surfcut.reduction import _cut_cycle
 
 ROW0 = frozenset({0, 1, 2})
 COL0 = frozenset({9, 12, 15})
@@ -412,7 +412,7 @@ def test_batched_searches_match_per_class_searches(g):
             cut, b1, b2 = _cut_cycle(g, walk)
         except (SeparatingCutError, CurveShapeError):
             continue
-        sigs = _inherited_signatures(cut, basis)
+        sigs = [basis.edge_signature[e] for e in cut.origin_edge_map]
         paths, no_path = tight_path(cut, b1, b2, sigs, range(classes))
         assert sorted([*paths, *no_path]) == list(range(classes))
         for t in range(classes):
@@ -435,7 +435,7 @@ def test_surgery_children_keep_their_traced_faces(g):
         except (SeparatingCutError, CurveShapeError):
             continue
         children.append(cut)
-        sigs = _inherited_signatures(cut, basis)
+        sigs = [basis.edge_signature[e] for e in cut.origin_edge_map]
         paths, _ = tight_path(cut, b1, b2, sigs, range(classes))
         for darts, _ in paths.values():
             try:
